@@ -1,0 +1,215 @@
+package sim
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"mlpcache/internal/trace"
+	"mlpcache/internal/workload"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_results.json from the current code")
+
+const goldenResultsFile = "testdata/golden_results.json"
+
+// goldenCase is one pinned simulation: run returns the full Result or
+// MultiResult whose digest the table records.
+type goldenCase struct {
+	name string
+	run  func() (any, error)
+}
+
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	policies := []PolicySpec{
+		{Kind: PolicyLRU},
+		{Kind: PolicyLIN, Lambda: 4},
+		{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32},
+	}
+	for _, name := range workload.Names() {
+		spec, _ := workload.ByName(name)
+		for _, p := range policies {
+			cfg := DefaultConfig()
+			cfg.MaxInstructions = 200_000
+			cfg.Policy = p
+			cases = append(cases, goldenCase{name + "/" + p.String(), func() (any, error) {
+				return Run(cfg, spec.Build(42))
+			}})
+		}
+	}
+
+	sources := func(names ...string) []trace.Source {
+		srcs := make([]trace.Source, len(names))
+		for i, name := range names {
+			spec, _ := workload.ByName(name)
+			srcs[i] = spec.Build(42 + uint64(i))
+		}
+		return srcs
+	}
+	mixes := []struct {
+		label  string
+		names  []string
+		policy PolicySpec
+	}{
+		{"mcf+art", []string{"mcf", "art"}, PolicySpec{Kind: PolicyLIN, Lambda: 4}},
+		{"mcf+art+parser+equake", []string{"mcf", "art", "parser", "equake"}, PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}},
+	}
+	for _, mix := range mixes {
+		for engine, mode := range map[string]ParallelMode{"serial": ParallelOff, "parallel": ParallelOn} {
+			cfg := DefaultConfig()
+			cfg.MaxInstructions = 100_000
+			cfg.Policy = mix.policy
+			cfg.Parallel = mode
+			cases = append(cases, goldenCase{mix.label + "/" + mix.policy.String() + "/" + engine, func() (any, error) {
+				return RunMulti(cfg, sources(mix.names...)...)
+			}})
+		}
+	}
+
+	exact := DefaultConfig()
+	exact.MaxInstructions = 100_000
+	exact.Policy = PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}
+	exact.DisableFastForward = true
+	cases = append(cases, goldenCase{"mcf/" + exact.Policy.String() + "/no-fast-forward", func() (any, error) {
+		spec, _ := workload.ByName("mcf")
+		return Run(exact, spec.Build(42))
+	}})
+	exactMulti := exact
+	exactMulti.Parallel = ParallelOff
+	cases = append(cases, goldenCase{"mcf+art/" + exact.Policy.String() + "/serial/no-fast-forward", func() (any, error) {
+		return RunMulti(exactMulti, sources("mcf", "art")...)
+	}})
+	return cases
+}
+
+// TestGoldenResults pins the simulator's output bit for bit: every case's
+// full Result or MultiResult, digested field by field (unexported fields
+// included), must equal the digest recorded in testdata. A speed-only
+// change to any layer must leave the table untouched; a deliberate
+// behaviour change regenerates it with
+//
+//	go test ./internal/sim -run TestGoldenResults -update-golden
+func TestGoldenResults(t *testing.T) {
+	cases := goldenCases()
+	got := make(map[string]string, len(cases))
+	digests := make([]string, len(cases))
+	t.Run("cases", func(t *testing.T) {
+		for i, gc := range cases {
+			i, gc := i, gc
+			t.Run(gc.name, func(t *testing.T) {
+				t.Parallel()
+				res, err := gc.run()
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				digests[i] = fmt.Sprintf("%016x", digestOf(res))
+			})
+		}
+	})
+	for i, gc := range cases {
+		got[gc.name] = digests[i]
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenResultsFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenResultsFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(goldenResultsFile)
+	if err != nil {
+		t.Fatalf("read golden table: %v", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("parse golden table: %v", err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden table has %d cases, the test runs %d", len(want), len(got))
+	}
+	for name, d := range got {
+		if want[name] != d {
+			t.Errorf("%s: digest %s, golden %s", name, d, want[name])
+		}
+	}
+}
+
+// digestOf is FNV-1a over every field reachable from v, in declaration
+// order: two values DeepEqual exactly when their digests agree, up to
+// hash collisions. Pointers are followed, map entries sorted by key.
+func digestOf(v any) uint64 {
+	h := fnv.New64a()
+	digestValue(h, reflect.ValueOf(v))
+	return h.Sum64()
+}
+
+func digestValue(h hash.Hash64, v reflect.Value) {
+	var buf [8]byte
+	word := func(x uint64) {
+		for i := range buf {
+			buf[i] = byte(x >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	switch v.Kind() {
+	case reflect.Invalid:
+		word(0)
+	case reflect.Bool:
+		if v.Bool() {
+			word(1)
+		} else {
+			word(0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		word(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		word(math.Float64bits(v.Float()))
+	case reflect.String:
+		word(uint64(v.Len()))
+		h.Write([]byte(v.String()))
+	case reflect.Slice, reflect.Array:
+		word(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			digestValue(h, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			digestValue(h, v.Field(i))
+		}
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			word(0)
+			return
+		}
+		word(1)
+		h.Write([]byte(v.Elem().Type().String()))
+		digestValue(h, v.Elem())
+	case reflect.Map:
+		keys := v.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		word(uint64(len(keys)))
+		for _, k := range keys {
+			digestValue(h, k)
+			digestValue(h, v.MapIndex(k))
+		}
+	default:
+		panic(fmt.Sprintf("digestOf: unsupported kind %s", v.Kind()))
+	}
+}
