@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet lint docs-check fuzz-smoke bench bench-smoke bench-record bench-compare loadtest-smoke clean
+.PHONY: tier1 build test race vet lint docs-check fuzz-smoke bench bench-smoke bench-check bench-record bench-compare loadtest-smoke clean
 
 # tier1 is the repo's gate: every PR must leave it green.
-tier1: vet lint docs-check build race fuzz-smoke bench-smoke bench-compare loadtest-smoke
+tier1: vet lint docs-check build race fuzz-smoke bench-smoke bench-check bench-compare loadtest-smoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,18 @@ bench-smoke:
 	for name in BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkParallelMulticore BenchmarkArenaReuse; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
+
+# bench-check runs one pass of every repository-benchmark workload
+# (bench/README.md) at seed 42 and fails unless the final aggregate line
+# reports every operation correct. The canary and the seed-42 digest
+# pins in bench/digests.json make this a bit-identity check of the whole
+# simulator: any change to simulated results fails it.
+bench-check:
+	@out="$$(bash bench/run.sh --workload all --seed 42 --seconds 1 --trace 0)" || exit 1; \
+	last="$$(echo "$$out" | tail -n 1)"; \
+	echo "$$last"; \
+	echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -Eq '"failed":0[,}]' || \
+		{ echo "bench-check: the benchmark reported failed operations" >&2; exit 1; }
 
 # bench-record snapshots the perf-trajectory suite into BENCH_PR10.json
 # (instr/s, ns/op, allocs/op per benchmark; best of four passes). The

@@ -10,9 +10,19 @@
 // their register dependence (a backward distance carried by the trace)
 // resolves; dependent loads therefore serialize their misses (isolated
 // misses) while independent loads overlap them (parallel misses).
+//
+// Issue is event driven, so a cycle costs the work that happens in it,
+// not the size of the window. Each window entry is linked at fetch onto
+// its producer's consumer list unless its operand is already available;
+// a completion wakes the consumers when its cycle arrives; and issue
+// visits only the ready entries, oldest first, through a one-bit-per-slot
+// ready bitmap. A window stalled on a few chase loads behind completed
+// filler therefore costs nothing per stepped cycle beyond the wake-ups.
 package cpu
 
 import (
+	"math/bits"
+
 	"mlpcache/internal/bpred"
 	"mlpcache/internal/simerr"
 	"mlpcache/internal/trace"
@@ -122,6 +132,11 @@ type robEntry struct {
 	// mispredicted records the branch's fate as decided at fetch
 	// (oracle flag or live predictor), for retirement statistics.
 	mispredicted bool
+	// firstConsumer heads the intrusive list of slots that need this
+	// entry's result, chained through their nextConsumer; -1 ends a list.
+	// An entry has one source operand, so it sits on at most one list.
+	firstConsumer int32
+	nextConsumer  int32
 }
 
 const noBranch = ^uint64(0)
@@ -134,10 +149,12 @@ type CPU struct {
 	mem MemSystem
 	src trace.Source
 
-	rob      []robEntry
+	rob []robEntry
+	// ready has bit s set when rob[s] is unissued and its operand is
+	// available: exactly the entries issue may try this cycle.
+	ready    []uint64
 	head     int
 	count    int
-	waiting  int    // entries in stWaiting, bounds the issue scan
 	headG    uint64 // global index of rob[head]
 	nextG    uint64 // global index of the next fetched instruction
 	srcDone  bool
@@ -148,42 +165,50 @@ type CPU struct {
 
 	predictor *bpred.Predictor
 
-	// events is a min-heap of pending completion cycles, letting the
-	// run loop skip stall cycles in which nothing can change.
-	events  eventHeap
+	// events holds the completions still in flight: entries whose doneAt
+	// lies after the last cycle run. They wake their consumers when that
+	// cycle arrives, and the earliest one bounds a run loop's skip.
+	events  completionHeap
 	didWork bool
 
-	// firstWaitingG is a lower bound on the global index of the oldest
-	// stWaiting entry. During memory stalls the window head accumulates a
-	// long prefix of completed-but-unretirable entries; starting the issue
-	// scan at this cursor instead of the head skips that prefix. The bound
-	// is maintained monotonically: it only advances when a scan proves no
-	// waiting entry exists below the new value, and newly fetched entries
-	// always carry larger global indices.
-	firstWaitingG uint64
+	// issued and memIssued count this cycle's issues and memory issues.
+	issued, memIssued int
 
 	inMemStall bool
 	stats      Stats
 }
 
-// eventHeap is a plain binary min-heap of cycle numbers (inlined rather
-// than container/heap to keep the hot path allocation-free).
-type eventHeap []uint64
+// completion is an in-flight result: the ROB slot that produces it and
+// the cycle it becomes available. The slot cannot be refilled before the
+// completion pops: retiring the entry needs doneAt <= now, and the same
+// cycle's issue stage pops every such completion before fetch reuses a
+// slot.
+type completion struct {
+	at   uint64
+	slot int
+}
 
-func (h *eventHeap) push(v uint64) {
+// completionHeap is a plain binary min-heap on the completion cycle
+// (inlined rather than container/heap to keep the hot path
+// allocation-free). Order among equal cycles does not matter: popping
+// only sets ready bits.
+type completionHeap []completion
+
+func (h *completionHeap) push(v completion) {
 	*h = append(*h, v)
-	i := len(*h) - 1
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent] <= (*h)[i] {
+		if q[parent].at <= q[i].at {
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		q[parent], q[i] = q[i], q[parent]
 		i = parent
 	}
 }
 
-func (h *eventHeap) pop() {
+func (h *completionHeap) pop() {
 	old := *h
 	n := len(old) - 1
 	old[0] = old[n]
@@ -192,10 +217,10 @@ func (h *eventHeap) pop() {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && old[l] < old[small] {
+		if l < n && old[l].at < old[small].at {
 			small = l
 		}
-		if r < n && old[r] < old[small] {
+		if r < n && old[r].at < old[small].at {
 			small = r
 		}
 		if small == i {
@@ -219,6 +244,7 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 		mem:      mem,
 		src:      src,
 		rob:      make([]robEntry, cfg.ROBEntries),
+		ready:    make([]uint64, readyWords(cfg.ROBEntries)),
 		blockedG: noBranch,
 	}
 	if cfg.BranchPredictor != nil {
@@ -227,11 +253,14 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 	return c
 }
 
+func readyWords(robEntries int) int { return (robEntries + 63) / 64 }
+
 // Reset returns the core to just-built state executing src against mem,
-// recycling the ROB ring, store buffer and event-heap backings — the
-// arena's reuse contract. Stale ROB entries are safe to keep: fetch
-// fully overwrites a slot before any stage reads it. A configured
-// branch predictor is rebuilt fresh (its tables are run state).
+// recycling the ROB ring, ready bitmap, store buffer and completion-heap
+// backings — the arena's reuse contract. Stale ROB entries are safe to
+// keep: fetch fully overwrites a slot before any stage reads it. A
+// configured branch predictor is rebuilt fresh (its tables are run
+// state).
 func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -239,10 +268,12 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if mem == nil || src == nil {
 		panic(simerr.New(simerr.ErrBadConfig, "cpu: need a memory system and a source"))
 	}
-	rob := c.rob
+	rob, ready := c.rob, c.ready
 	if len(rob) != cfg.ROBEntries {
 		rob = make([]robEntry, cfg.ROBEntries)
+		ready = make([]uint64, readyWords(cfg.ROBEntries))
 	}
+	clear(ready)
 	var pred *bpred.Predictor
 	if cfg.BranchPredictor != nil {
 		pred = bpred.New(*cfg.BranchPredictor)
@@ -252,6 +283,7 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 		mem:       mem,
 		src:       src,
 		rob:       rob,
+		ready:     ready,
 		blockedG:  noBranch,
 		storeDone: c.storeDone[:0],
 		events:    c.events[:0],
@@ -285,21 +317,48 @@ func (c *CPU) slot(g uint64) int {
 	return s
 }
 
-// depReady reports whether the entry's register dependence has resolved
-// by cycle now.
-func (c *CPU) depReady(e *robEntry, g uint64, now uint64) bool {
-	if e.in.Dep <= 0 {
-		return true
+func (c *CPU) setReady(s int)   { c.ready[s>>6] |= 1 << (s & 63) }
+func (c *CPU) clearReady(s int) { c.ready[s>>6] &^= 1 << (s & 63) }
+
+// nextReady returns the first ready slot in [from, to), or to if none.
+// It reads the bitmap live, so a consumer woken earlier in the same scan
+// is found.
+func (c *CPU) nextReady(from, to int) int {
+	for from < to {
+		if w := c.ready[from>>6] >> (from & 63); w != 0 {
+			return min(from+bits.TrailingZeros64(w), to)
+		}
+		from = (from | 63) + 1
 	}
-	if uint64(e.in.Dep) > g {
-		return true // dependence reaches before the first instruction
+	return to
+}
+
+// link decides at fetch whether the entry in slot s (global index g) can
+// issue: at once if it has no dependence, its producer precedes the
+// stream or has retired, or its producer's result is available by now;
+// otherwise it joins the producer's consumer list and waits for the
+// producer's completion to wake it.
+func (c *CPU) link(s int, g uint64, now uint64) {
+	if dep := c.rob[s].in.Dep; dep > 0 && uint64(dep) <= g {
+		if prodG := g - uint64(dep); prodG >= c.headG {
+			p := &c.rob[c.slot(prodG)]
+			if p.state != stDone || p.doneAt > now {
+				c.rob[s].nextConsumer = p.firstConsumer
+				p.firstConsumer = int32(s)
+				return
+			}
+		}
 	}
-	prodG := g - uint64(e.in.Dep)
-	if prodG < c.headG {
-		return true // producer already retired
+	c.setReady(s)
+}
+
+// wake marks every consumer of the entry in slot s ready.
+func (c *CPU) wake(s int) {
+	p := &c.rob[s]
+	for k := p.firstConsumer; k >= 0; k = c.rob[k].nextConsumer {
+		c.setReady(int(k))
 	}
-	p := &c.rob[c.slot(prodG)]
-	return p.state == stDone && p.doneAt <= now
+	p.firstConsumer = -1
 }
 
 // Cycle advances the core by one cycle: retire, drain the store buffer,
@@ -341,15 +400,12 @@ func (c *CPU) DidWork() bool { return c.didWork }
 // NextEvent returns the earliest future cycle (strictly after now) at
 // which core-visible state can change: a pending completion, a store
 // buffer drain, or a fetch redirect. It returns ^uint64(0) if no such
-// event is scheduled.
+// event is scheduled. now is the cycle last passed to Cycle, which left
+// only completions after now in flight.
 func (c *CPU) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
-	for len(c.events) > 0 {
-		if t := c.events[0]; t > now {
-			next = t
-			break
-		}
-		c.events.pop()
+	if len(c.events) > 0 {
+		next = c.events[0].at
 	}
 	if c.blockedG != noBranch && c.resumeAt > now && c.resumeAt < next {
 		next = c.resumeAt
@@ -416,112 +472,113 @@ func (c *CPU) drainStores(now uint64) {
 	c.storeDone = out
 }
 
+// issue wakes the consumers of every completion that has arrived, then
+// tries the ready entries oldest first: from the head to the end of the
+// ring, then the wrap-around.
 func (c *CPU) issue(now uint64) {
-	if c.waiting == 0 {
-		return
+	for len(c.events) > 0 && c.events[0].at <= now {
+		s := c.events[0].slot
+		c.events.pop()
+		c.wake(s)
 	}
-	issued, memIssued, seenWaiting := 0, 0, 0
-	toSee := c.waiting // snapshot: completions during the scan shrink c.waiting
-	// Start at the oldest possibly-waiting entry instead of the head: the
-	// cursor is a proven lower bound, so every skipped slot is known not
-	// to be stWaiting and the scan's outcome is unchanged.
-	start := 0
-	if c.firstWaitingG > c.headG {
-		start = int(c.firstWaitingG - c.headG)
-	}
-	slot := c.head + start
-	if slot >= len(c.rob) {
-		slot -= len(c.rob)
-	}
-	cursorSet := false
-	for i := start; i < c.count; i++ {
-		if issued >= c.cfg.IssueWidth || seenWaiting >= toSee {
-			break
-		}
-		e := &c.rob[slot]
-		slot++
-		if slot == len(c.rob) {
-			slot = 0
-		}
-		if e.state != stWaiting {
-			continue
-		}
-		if !cursorSet {
-			// First waiting entry this pass: everything older is done.
-			c.firstWaitingG = c.headG + uint64(i)
-			cursorSet = true
-		}
-		seenWaiting++
-		g := c.headG + uint64(i)
-		if !c.depReady(e, g, now) {
-			continue
-		}
-		switch e.in.Kind {
-		case trace.Int:
-			c.complete(e, now+c.cfg.IntLat)
-		case trace.Mul:
-			c.complete(e, now+c.cfg.MulLat)
-		case trace.FP:
-			c.complete(e, now+c.cfg.FPLat)
-		case trace.Div:
-			c.complete(e, now+c.cfg.DivLat)
-		case trace.Branch:
-			c.complete(e, now+1)
-			if c.blockedG == g {
-				// Branch resolved: fetch redirects after the
-				// minimum misprediction penalty.
-				c.resumeAt = e.doneAt + c.cfg.MispredictPenalty
-			}
-		case trace.Load:
-			if memIssued >= c.cfg.MemPorts {
-				continue
-			}
-			memIssued++
-			done, ok := c.mem.Access(e.in.Addr, false, now)
-			if !ok {
-				// A rejected access still mutates state (reject counters,
-				// L2 probe stats), so the cycle counts as work: fast-forward
-				// must not skip retry cycles a burned loop would execute.
-				c.stats.MSHRRejects++
-				c.didWork = true
-				continue // retry on a later cycle
-			}
-			c.complete(e, done)
-		case trace.Store:
-			if memIssued >= c.cfg.MemPorts {
-				continue
-			}
-			if len(c.storeDone) >= c.cfg.StoreBufferEntries {
-				// The full-buffer event accrues per executed cycle, so the
-				// cycle counts as work for the same reason a reject does.
-				c.stats.StoreBufferFullEvents++
-				c.didWork = true
-				continue // window blocks only when the buffer is full
-			}
-			memIssued++
-			done, ok := c.mem.Access(e.in.Addr, true, now)
-			if !ok {
-				c.stats.MSHRRejects++
-				c.didWork = true
-				continue
-			}
-			// The store retires from the window immediately; the
-			// store buffer tracks the in-flight write.
-			c.storeDone = append(c.storeDone, done)
-			c.complete(e, now+1)
-		}
-		if e.state == stDone {
-			issued++
-		}
+	c.issued, c.memIssued = 0, 0
+	if c.issueRange(c.head, len(c.rob), now) {
+		c.issueRange(0, c.head, now)
 	}
 }
 
-func (c *CPU) complete(e *robEntry, doneAt uint64) {
+// issueRange tries the ready entries in slots [lo, hi) in slot order. It
+// returns false once the issue width is used up.
+func (c *CPU) issueRange(lo, hi int, now uint64) bool {
+	for s := c.nextReady(lo, hi); s < hi; s = c.nextReady(s+1, hi) {
+		if c.issued >= c.cfg.IssueWidth {
+			return false
+		}
+		c.issueSlot(s, now)
+	}
+	return true
+}
+
+// issueSlot tries to issue the ready entry in slot s. An entry that
+// cannot issue this cycle (no memory port, a full store buffer, an MSHR
+// rejection) stays ready and is retried on a later cycle.
+func (c *CPU) issueSlot(s int, now uint64) {
+	e := &c.rob[s]
+	switch e.in.Kind {
+	case trace.Int:
+		c.complete(s, now+c.cfg.IntLat, now)
+	case trace.Mul:
+		c.complete(s, now+c.cfg.MulLat, now)
+	case trace.FP:
+		c.complete(s, now+c.cfg.FPLat, now)
+	case trace.Div:
+		c.complete(s, now+c.cfg.DivLat, now)
+	case trace.Branch:
+		c.complete(s, now+1, now)
+		off := s - c.head
+		if off < 0 {
+			off += len(c.rob)
+		}
+		if c.blockedG == c.headG+uint64(off) {
+			// Branch resolved: fetch redirects after the
+			// minimum misprediction penalty.
+			c.resumeAt = e.doneAt + c.cfg.MispredictPenalty
+		}
+	case trace.Load:
+		if c.memIssued >= c.cfg.MemPorts {
+			return
+		}
+		c.memIssued++
+		done, ok := c.mem.Access(e.in.Addr, false, now)
+		if !ok {
+			// A rejected access still mutates state (reject counters,
+			// L2 probe stats), so the cycle counts as work: fast-forward
+			// must not skip retry cycles a burned loop would execute.
+			c.stats.MSHRRejects++
+			c.didWork = true
+			return
+		}
+		c.complete(s, done, now)
+	case trace.Store:
+		if c.memIssued >= c.cfg.MemPorts {
+			return
+		}
+		if len(c.storeDone) >= c.cfg.StoreBufferEntries {
+			// The full-buffer event accrues per executed cycle, so the
+			// cycle counts as work for the same reason a reject does.
+			c.stats.StoreBufferFullEvents++
+			c.didWork = true
+			return // window blocks only when the buffer is full
+		}
+		c.memIssued++
+		done, ok := c.mem.Access(e.in.Addr, true, now)
+		if !ok {
+			c.stats.MSHRRejects++
+			c.didWork = true
+			return
+		}
+		// The store retires from the window immediately; the
+		// store buffer tracks the in-flight write.
+		c.storeDone = append(c.storeDone, done)
+		c.complete(s, now+1, now)
+	}
+}
+
+// complete issues the entry in slot s with its result available at
+// doneAt. A result available already (zero latency) wakes the consumers
+// at once, so younger entries still to be visited in this scan see it.
+func (c *CPU) complete(s int, doneAt, now uint64) {
+	e := &c.rob[s]
 	e.state = stDone
 	e.doneAt = doneAt
-	c.waiting--
+	c.clearReady(s)
+	c.issued++
 	c.didWork = true
-	c.events.push(doneAt)
+	if doneAt <= now {
+		c.wake(s)
+	} else {
+		c.events.push(completion{at: doneAt, slot: s})
+	}
 }
 
 // branchMispredicted decides a fetched branch's fate: a live predictor
@@ -557,19 +614,16 @@ func (c *CPU) fetch(now uint64) {
 			c.srcDone = true
 			return
 		}
-		c.rob[slot] = robEntry{in: in, state: stWaiting}
 		mispredicted := in.Kind == trace.Branch && c.branchMispredicted(in)
-		if mispredicted {
-			c.rob[slot].mispredicted = true
-		}
+		c.rob[slot] = robEntry{in: in, state: stWaiting, mispredicted: mispredicted, firstConsumer: -1, nextConsumer: -1}
+		g := c.nextG
+		c.count++
+		c.link(slot, g, now)
 		slot++
 		if slot == len(c.rob) {
 			slot = 0
 		}
-		g := c.nextG
 		c.nextG++
-		c.count++
-		c.waiting++
 		c.didWork = true
 		if mispredicted {
 			// Stall-on-mispredict front end: no wrong path is

@@ -241,6 +241,36 @@ func TestDepBeyondWindowTreatedAsRetired(t *testing.T) {
 	}
 }
 
+// TestCompletionHeapBounded runs a long L1-resident stream, which stalls
+// rarely, through the core: the completion heap must hold only in-flight
+// results, never more than the window and store buffer can hold, however
+// long the core goes without idling.
+func TestCompletionHeapBounded(t *testing.T) {
+	const n = 2_000_000
+	cfg := DefaultConfig()
+	src := trace.NewLimit(trace.NewStream(trace.StreamConfig{
+		Blocks: 128, Gap: 6, Touches: 2, Stores: 0.3, Mispredict: 0.02, Seed: 1,
+	}), n)
+	c := New(cfg, &fakeMem{latency: 3}, src)
+	bound, peak := cfg.ROBEntries+cfg.StoreBufferEntries, 0
+	for now := uint64(1); !c.Finished(); now++ {
+		c.Cycle(now)
+		peak = max(peak, len(c.events))
+		if !c.DidWork() {
+			if wake := c.NextEvent(now); wake != ^uint64(0) && wake > now+1 {
+				c.NoteSkipped(wake - now - 1)
+				now = wake - 1
+			}
+		}
+	}
+	if peak > bound {
+		t.Fatalf("completion heap peaked at %d entries, bound %d", peak, bound)
+	}
+	if c.Stats().Retired != n {
+		t.Fatalf("retired %d, want %d", c.Stats().Retired, n)
+	}
+}
+
 func TestNewPanicsOnBadArgs(t *testing.T) {
 	cases := []func(){
 		func() { New(Config{}, &fakeMem{}, trace.NewSliceSource(nil)) },
