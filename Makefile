@@ -65,28 +65,29 @@ bench-check:
 		{ echo "bench-check: the benchmark reported failed operations" >&2; exit 1; }
 
 # bench-record snapshots the perf-trajectory suite into BENCH_PR10.json
-# (instr/s, ns/op, allocs/op per benchmark; best of four passes). The
-# snapshot is committed so bench-compare has a fixed reference; any
-# pre_pr5_baseline / prior_baselines sections already in the file are
-# preserved, and the PR9 snapshot is folded in as a prior baseline so
-# the cross-PR trajectory stays in one document.
+# (instr/s, host-calibrated instr/s, ns/op, allocs/op per benchmark;
+# medians of eight passes). The snapshot is committed so bench-compare
+# has a fixed reference; any pre_pr5_baseline / prior_baselines
+# sections already in the file are preserved, and the PR9 snapshot is
+# folded in as a prior baseline so the cross-PR trajectory stays in one
+# document.
 bench-record:
-	$(GO) run ./tools/benchjson -record -out BENCH_PR10.json -prior pr9=BENCH_PR9.json -count 4
+	$(GO) run ./tools/benchjson -record -out BENCH_PR10.json -prior pr9=BENCH_PR9.json
 
-# bench-compare re-runs the suite and fails on a >10% instr/s drop
-# relative to the suite-wide median ratio (host steal on a virtualized
-# single-vCPU machine moves every wall-clock figure together — only
-# drops *away from the pack* indicate a code regression), a >20%
-# allocs/op growth against the committed snapshot, a v2-traced run
-# allocating more than 2x an untraced one, a learned-policy run
-# allocating more than 1.5x the LRU baseline, a 4-core parallel run
-# slower than serial on a 4+-CPU host, or an arena-reused run
-# allocating more than 0.5x a cold one (see docs/PERFORMANCE.md for
-# the contract). Part of tier1. Best-of-4 separate suite passes on
-# both sides, so each benchmark's samples are spread across the run's
-# wall time.
+# bench-compare re-runs the suite and fails on a >10% drop in instr/s
+# calibrated by a reference loop timed around each benchmark, relative
+# to the suite-wide median ratio (shared-host speed drifts move every
+# wall-clock figure — only drops *away from the pack* indicate a code
+# regression), a >20% allocs/op growth against the committed snapshot,
+# a v2-traced run allocating more than 2x an untraced one, a
+# learned-policy run allocating more than 1.5x the LRU baseline, a
+# 4-core parallel run slower than serial on a 4+-CPU host, or an
+# arena-reused run allocating more than 0.5x a cold one (see
+# docs/PERFORMANCE.md for the contract). Part of tier1. Medians of 8
+# separate suite passes on both sides, so each benchmark's samples are
+# spread across the run's wall time.
 bench-compare:
-	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR10.json -count 4
+	$(GO) run ./tools/benchjson -compare -baseline BENCH_PR10.json
 
 # loadtest-smoke fires a short chaos burst at an in-process sweep
 # service (tools/loadgen): every job must come back with a terminal

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,6 +40,84 @@ const benchInstructions = 1_500_000
 func benchRunner(b *testing.B) *experiments.Runner {
 	b.Helper()
 	return experiments.NewRunner(benchInstructions, 42)
+}
+
+// The throughput benchmarks run on shared virtual machines whose speed
+// drifts within seconds as neighbours come and go, so a lone instr/s
+// figure says as much about the host as about the code. Each one
+// therefore also times a fixed reference loop just before and just
+// after its timed region and reports the rate as ref/s; bench-compare
+// gates instr/s divided by ref/s (tools/benchjson). The loop lives here,
+// not in the simulator, so no change to the code under test moves it.
+
+// refSteps is one reference sample: about 35 ms on a 2-vCPU Xeon VM.
+const refSteps = 6_000_000
+
+// refRing is a random cyclic permutation small enough (8 KiB) to stay
+// in the L1, so the loop's speed tracks how fast the core runs rather
+// than where its data lands in memory.
+var refRing = func() []uint32 {
+	const n = 1 << 11
+	perm := make([]uint32, n)
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := n - 1; i > 0; i-- {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		j := x % uint64(i+1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	ring := make([]uint32, n)
+	for i := range perm {
+		ring[perm[i]] = perm[(i+1)%n]
+	}
+	return ring
+}()
+
+// refSink keeps the reference loop's result live.
+var refSink uint64
+
+// refRate runs the reference loop, a pointer chase with data-dependent
+// branches, and returns its rate in steps per second.
+func refRate() float64 {
+	start := time.Now()
+	var p uint32
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < refSteps; i++ {
+		p = refRing[p]
+		h ^= uint64(p)
+		h *= 0x100000001b3
+		switch {
+		case h&7 == 3:
+			h += uint64(i)
+		case h&5 == 1:
+			h ^= h >> 13
+		}
+	}
+	refSink += h
+	return refSteps / time.Since(start).Seconds()
+}
+
+// startThroughput samples the reference loop, then restarts b's timer;
+// it returns the sample for reportThroughput.
+func startThroughput(b *testing.B) float64 {
+	before := refRate()
+	b.ResetTimer()
+	return before
+}
+
+// reportThroughput reports instr simulated over b's timed region as
+// instr/s and, with the timer stopped, the geometric mean of the
+// reference loop's rate before and after that region as ref/s.
+func reportThroughput(b *testing.B, instr, before float64) {
+	elapsed := b.Elapsed().Seconds()
+	b.StopTimer()
+	after := refRate()
+	b.ReportMetric(instr/elapsed, "instr/s")
+	b.ReportMetric(math.Sqrt(before*after), "ref/s")
 }
 
 func BenchmarkFig1_WorkedExample(b *testing.B) {
@@ -314,13 +393,13 @@ func BenchmarkExtensionDIP(b *testing.B) {
 // (instructions simulated per wall-clock second).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, _ := workload.ByName("equake")
-	b.ResetTimer()
+	ref := startThroughput(b)
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		cfg.MaxInstructions = benchInstructions
 		sim.MustRun(cfg, spec.Build(42))
 	}
-	b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	reportThroughput(b, float64(benchInstructions)*float64(b.N), ref)
 }
 
 // BenchmarkMulticoreThroughput drives the contended two-core engine —
@@ -333,7 +412,7 @@ func BenchmarkMulticoreThroughput(b *testing.B) {
 	mcf, _ := workload.ByName("mcf")
 	art, _ := workload.ByName("art")
 	var total uint64
-	b.ResetTimer()
+	ref := startThroughput(b)
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		cfg.MaxInstructions = benchInstructions
@@ -344,7 +423,7 @@ func BenchmarkMulticoreThroughput(b *testing.B) {
 		}
 		total += res.Instructions()
 	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
+	reportThroughput(b, float64(total), ref)
 }
 
 // parallelBenchInstructions is the per-core budget for the engine race:
@@ -363,7 +442,7 @@ func BenchmarkParallelMulticore(b *testing.B) {
 	benches := []string{"mcf", "art", "parser", "equake"}
 	run := func(b *testing.B, cores int, mode sim.ParallelMode) {
 		var total uint64
-		b.ResetTimer()
+		ref := startThroughput(b)
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = parallelBenchInstructions
@@ -379,7 +458,7 @@ func BenchmarkParallelMulticore(b *testing.B) {
 			}
 			total += res.Instructions()
 		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
+		reportThroughput(b, float64(total), ref)
 		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 	}
 	b.Run("serial2", func(b *testing.B) { run(b, 2, sim.ParallelOff) })
@@ -430,7 +509,7 @@ func BenchmarkArenaReuse(b *testing.B) {
 func BenchmarkObservability(b *testing.B) {
 	run := func(b *testing.B, tr metrics.Tracer, export bool) {
 		spec, _ := workload.ByName("equake")
-		b.ResetTimer()
+		ref := startThroughput(b)
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = benchInstructions
@@ -442,7 +521,7 @@ func BenchmarkObservability(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+		reportThroughput(b, float64(benchInstructions)*float64(b.N), ref)
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil, false) })
 	b.Run("traced", func(b *testing.B) {
@@ -464,7 +543,7 @@ func BenchmarkTracingV2(b *testing.B) {
 	run := func(b *testing.B, mk func() metrics.Tracer) {
 		spec, _ := workload.ByName("equake")
 		b.ReportAllocs()
-		b.ResetTimer()
+		ref := startThroughput(b)
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = benchInstructions
@@ -473,7 +552,7 @@ func BenchmarkTracingV2(b *testing.B) {
 			}
 			sim.MustRun(cfg, spec.Build(42))
 		}
-		b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+		reportThroughput(b, float64(benchInstructions)*float64(b.N), ref)
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })
 	b.Run("jsonl", func(b *testing.B) {
@@ -500,14 +579,14 @@ func BenchmarkLearnedEviction(b *testing.B) {
 	run := func(b *testing.B, spec sim.PolicySpec) {
 		w, _ := workload.ByName("mcf")
 		b.ReportAllocs()
-		b.ResetTimer()
+		ref := startThroughput(b)
 		for i := 0; i < b.N; i++ {
 			cfg := sim.DefaultConfig()
 			cfg.MaxInstructions = benchInstructions
 			cfg.Policy = spec
 			sim.MustRun(cfg, w.Build(42))
 		}
-		b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+		reportThroughput(b, float64(benchInstructions)*float64(b.N), ref)
 	}
 	b.Run("lru", func(b *testing.B) { run(b, sim.PolicySpec{Kind: sim.PolicyLRU}) })
 	b.Run("bandit", func(b *testing.B) { run(b, sim.PolicySpec{Kind: sim.PolicyBandit, Seed: 42}) })
@@ -546,13 +625,13 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	const batch = 100_000
 	spec, _ := workload.ByName("mcf")
 	src := spec.Build(1)
-	b.ResetTimer()
+	ref := startThroughput(b)
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < batch; j++ {
 			src.Next()
 		}
 	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	reportThroughput(b, float64(batch)*float64(b.N), ref)
 }
 
 // BenchmarkTraceEncode measures the binary trace encoder.
@@ -597,7 +676,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	sem := make(chan struct{}, 16)
 	var wg sync.WaitGroup
 	var failed atomic.Uint64
-	b.ResetTimer()
+	ref := startThroughput(b)
 	for i := 0; i < b.N; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
@@ -618,5 +697,5 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	if n := failed.Load(); n > 0 {
 		b.Fatalf("%d of %d jobs failed", n, b.N)
 	}
-	b.ReportMetric(float64(jobInstructions)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+	reportThroughput(b, float64(jobInstructions)*float64(b.N), ref)
 }

@@ -12,8 +12,9 @@
 //     benchmarks in under prior_baselines (e.g. -prior
 //     pr5=BENCH_PR5.json keeps the PR5 trajectory in the PR6 file).
 //   - -compare re-runs the suite and fails when a benchmark disappears,
-//     when any instr/s figure drops more than -threshold percent after
-//     machine-speed normalization (see below), or when allocs/op grows
+//     when any calibrated instr/s figure drops more than -threshold
+//     percent after machine-speed normalization (see below), or when
+//     allocs/op grows
 //     more than -alloc-threshold percent (allocations are deterministic,
 //     so this catches reintroduced per-access allocation immediately).
 //     Wall-clock-only figures (ns/op, MB/s) are reported but not gated:
@@ -25,29 +26,36 @@
 //     zero-alloc Emit path fails the gate even if a snapshot is
 //     re-recorded around it.
 //
-// Machine-speed normalization: this repo benchmarks on virtualized,
-// often single-vCPU hosts where steal time moves every wall-clock
-// figure at once, by far more than any fixed gate. A host slowdown is
-// uniform across the suite; a code regression is not (the suite spans
-// disjoint subsystems: trace codec, generators, oracle replay, the
-// full simulator). -compare therefore computes the suite-wide median
-// of per-benchmark instr/s ratios (current/baseline, clamped at 1.0)
-// and gates each benchmark's drop relative to that median. Even after
-// normalization, single-iteration samples on such hosts scatter by a
-// few percent per benchmark, so the default gate is a coarse 10%
-// tripwire — tight enough to catch a lost fast path, loose enough not
-// to fire on steal. The precise gates are the allocation ones: a
-// regression slowing every subsystem by the same factor (the
-// normalizer's deliberate blind spot) or a fine per-op cost creep is
-// caught by the absolute allocs/op gates, which are deterministic and
-// never normalized.
+// Host-speed calibration: this repo benchmarks on shared virtual
+// machines whose speed drifts within seconds, and single-iteration
+// samples of one benchmark spread by 6-16% (coefficient of variation)
+// from pass to pass. Every instr/s benchmark therefore also reports
+// ref/s, the rate of a fixed L1-resident reference loop timed just
+// before and after its timed region (bench_test.go), and the gate
+// compares instr/s divided by ref/s. On 16 passes of the suite on a
+// 2-vCPU Xeon VM this cut the mean spread from 12.5% to 8.1%.
 //
-// Each sample is the best of -count full passes over the suite (N
-// separate `go test` invocations, not `go test -count N`): spreading a
-// benchmark's repetitions across the whole run means a transient slow
-// window costs at most one pass of each benchmark instead of every
-// repetition of whichever benchmark it lands on, so the best-of maxima
-// all come from low-steal windows and ratios between them stay stable.
+// Each figure is the median of -count full passes over the suite (N
+// separate `go test` invocations, not `go test -count N`, so a slow
+// window costs at most one sample of each benchmark). Medians, not
+// best-of maxima: the samples have a long fast tail, and a maximum
+// lands in it on one side of a comparison and not the other. Replaying
+// random disjoint subsets of those 16 passes as snapshot and re-run,
+// the former gate (best of 4 passes, uncalibrated) failed unchanged
+// code in 86-90% of trials, this one (median of 8, calibrated) in 0.9%.
+//
+// Machine-speed normalization: whatever the L1-resident loop does not
+// feel (memory contention, say) still moves the whole suite together,
+// while a code regression is not uniform (the suite spans disjoint
+// subsystems: trace codec, generators, oracle replay, the full
+// simulator). -compare therefore computes the suite-wide median of
+// per-benchmark calibrated ratios (current/baseline, clamped at 1.0)
+// and gates each benchmark's drop relative to that median. The gate is
+// a 10% tripwire for a lost fast path. The precise gates are the
+// allocation ones: a regression slowing every subsystem by the same
+// factor (the normalizer's deliberate blind spot) or a fine per-op cost
+// creep is caught by the absolute allocs/op gates, which are
+// deterministic and never normalized.
 package main
 
 import (
@@ -58,6 +66,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +122,12 @@ const (
 type Sample struct {
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	InstrPerSec float64 `json:"instr_per_s,omitempty"`
+	// RefPerSec is the rate of the suite's fixed reference loop sampled
+	// around the timed region, and InstrPerRef the throughput calibrated
+	// by it (instructions simulated per reference-loop step): the figure
+	// the instr/s gate compares, since host speed divides out of it.
+	RefPerSec   float64 `json:"ref_per_s,omitempty"`
+	InstrPerRef float64 `json:"instr_per_ref,omitempty"`
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
@@ -146,7 +161,7 @@ func main() {
 		pre       = flag.String("pre", "", "raw `go test -bench` capture to import as pre_pr5_baseline (with -record)")
 		prior     = flag.String("prior", "", "name=path of an earlier snapshot to fold into prior_baselines (with -record)")
 		note      = flag.String("note", "", "free-form note stored in the snapshot")
-		count     = flag.Int("count", 2, "benchmark repetitions; best-of wins")
+		count     = flag.Int("count", 8, "full passes over the suite; each figure is their median")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value")
 		threshold = flag.Float64("threshold", 10, "max tolerated instr/s drop after machine-speed normalization, percent")
 		allocThr  = flag.Float64("alloc-threshold", 20, "max tolerated allocs/op growth, percent")
@@ -169,8 +184,8 @@ func main() {
 	}
 }
 
-// runSuite takes count full passes over the suite and folds them
-// best-of. Separate passes — not `go test -count` — so each
+// runSuite takes count full passes over the suite and folds them into
+// medians. Separate passes — not `go test -count` — so each
 // benchmark's repetitions are spread across the run's whole wall time
 // (see the package comment on machine noise).
 func runSuite(count int, benchtime string) (map[string]Sample, error) {
@@ -201,11 +216,16 @@ var resultLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 // benchmark names, so snapshots transfer between machines.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// parseBench folds every result line into best-of samples per benchmark:
-// throughput units (instr/s, MB/s) keep the maximum across repetitions,
-// cost units (ns/op, B/op, allocs/op) the minimum.
+// parseBench folds every result line into one sample per benchmark:
+// the median of each wall-clock figure across repetitions, and of each
+// repetition's calibrated throughput (instr/s over the ref/s sampled
+// around that very repetition); the minimum of the allocation figures,
+// which repeat almost exactly. Medians, not maxima: on a shared host a
+// benchmark's samples have a long fast tail (a pass whose neighbours
+// went quiet), and a best-of figure lands in it on one side of a
+// comparison and not on the other.
 func parseBench(out string) map[string]Sample {
-	samples := make(map[string]Sample)
+	reps := make(map[string][]Sample)
 	for _, line := range strings.Split(out, "\n") {
 		m := resultLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -224,6 +244,8 @@ func parseBench(out string) map[string]Sample {
 				s.NsPerOp = v
 			case "instr/s":
 				s.InstrPerSec = v
+			case "ref/s":
+				s.RefPerSec = v
 			case "MB/s":
 				s.MBPerSec = v
 			case "B/op":
@@ -234,31 +256,43 @@ func parseBench(out string) map[string]Sample {
 				s.CPUs = v
 			}
 		}
-		prev, seen := samples[name]
-		if !seen {
-			samples[name] = s
-			continue
+		if s.InstrPerSec > 0 && s.RefPerSec > 0 {
+			s.InstrPerRef = s.InstrPerSec / s.RefPerSec
+		}
+		reps[name] = append(reps[name], s)
+	}
+	samples := make(map[string]Sample, len(reps))
+	for name, rs := range reps {
+		field := func(f func(Sample) float64) []float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = f(r)
+			}
+			return vs
 		}
 		samples[name] = Sample{
-			NsPerOp:     minNonzero(prev.NsPerOp, s.NsPerOp),
-			InstrPerSec: max(prev.InstrPerSec, s.InstrPerSec),
-			MBPerSec:    max(prev.MBPerSec, s.MBPerSec),
-			BytesPerOp:  minNonzero(prev.BytesPerOp, s.BytesPerOp),
-			AllocsPerOp: minNonzero(prev.AllocsPerOp, s.AllocsPerOp),
-			CPUs:        max(prev.CPUs, s.CPUs),
+			NsPerOp:     median(field(func(s Sample) float64 { return s.NsPerOp })),
+			InstrPerSec: median(field(func(s Sample) float64 { return s.InstrPerSec })),
+			RefPerSec:   median(field(func(s Sample) float64 { return s.RefPerSec })),
+			InstrPerRef: median(field(func(s Sample) float64 { return s.InstrPerRef })),
+			MBPerSec:    median(field(func(s Sample) float64 { return s.MBPerSec })),
+			BytesPerOp:  slices.Min(field(func(s Sample) float64 { return s.BytesPerOp })),
+			AllocsPerOp: slices.Min(field(func(s Sample) float64 { return s.AllocsPerOp })),
+			CPUs:        slices.Max(field(func(s Sample) float64 { return s.CPUs })),
 		}
 	}
 	return samples
 }
 
-func minNonzero(a, b float64) float64 {
-	if a == 0 {
-		return b
+// median returns the middle of vs (the mean of the two middle values
+// for an even count). vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
 	}
-	if b == 0 {
-		return a
-	}
-	return min(a, b)
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 func doRecord(out, pre, prior, note string, count int, benchtime string) error {
@@ -346,30 +380,25 @@ func doCompare(baseline string, count int, benchtime string, threshold, allocThr
 	}
 	sort.Strings(names)
 	// Machine-speed normalizer: the suite-wide median of per-benchmark
-	// instr/s ratios, clamped at 1.0 so a faster machine never raises
-	// the bar. Host steal moves the whole suite together; a code
-	// regression moves specific benchmarks away from the median.
+	// calibrated-throughput ratios, clamped at 1.0 so a faster machine
+	// never raises the bar. It absorbs what the reference loop misses
+	// (an L1-resident loop does not feel memory contention): such a
+	// slowdown moves the whole suite together, while a code regression
+	// moves specific benchmarks away from the median.
 	var ratios []float64
 	for _, name := range names {
 		want := snap.Benchmarks[name]
-		if got, ok := current[name]; ok && want.InstrPerSec > 0 && got.InstrPerSec > 0 {
-			ratios = append(ratios, got.InstrPerSec/want.InstrPerSec)
+		if got, ok := current[name]; ok && want.InstrPerRef > 0 && got.InstrPerRef > 0 {
+			ratios = append(ratios, got.InstrPerRef/want.InstrPerRef)
 		}
 	}
 	norm := 1.0
-	if n := len(ratios); n > 0 {
-		sort.Float64s(ratios)
-		med := ratios[n/2]
-		if n%2 == 0 {
-			med = (med + ratios[n/2-1]) / 2
-		}
-		if med < 1 {
-			norm = med
-		}
+	if len(ratios) > 0 {
+		norm = min(median(ratios), 1)
 	}
 	if norm < 1 {
 		fmt.Fprintf(os.Stderr,
-			"benchjson: machine-speed normalizer %.3f (suite-median instr/s ratio; drops gated relative to it)\n", norm)
+			"benchjson: machine-speed normalizer %.3f (suite-median calibrated ratio; drops gated relative to it)\n", norm)
 	}
 	var failures []string
 	for _, name := range names {
@@ -379,19 +408,22 @@ func doCompare(baseline string, count int, benchtime string, threshold, allocThr
 			failures = append(failures, fmt.Sprintf("%s: benchmark disappeared from the suite", name))
 			continue
 		}
-		if want.InstrPerSec > 0 {
-			raw := 100 * (got.InstrPerSec/want.InstrPerSec - 1)
-			drop := 100 * (1 - got.InstrPerSec/(want.InstrPerSec*norm))
+		switch {
+		case want.InstrPerSec > 0 && (want.InstrPerRef == 0 || got.InstrPerRef == 0):
+			failures = append(failures, fmt.Sprintf(
+				"%s: instr/s without a ref/s calibration sample (report it through reportThroughput, then re-record)", name))
+		case want.InstrPerSec > 0:
+			drop := 100 * (1 - got.InstrPerRef/(want.InstrPerRef*norm))
 			status := "ok"
 			if drop > threshold {
 				status = "FAIL"
 				failures = append(failures, fmt.Sprintf(
-					"%s: instr/s dropped %.1f%% vs suite median (%.0f -> %.0f raw, normalizer %.3f, gate %.1f%%)",
-					name, drop, want.InstrPerSec, got.InstrPerSec, norm, threshold))
+					"%s: calibrated instr/s dropped %.1f%% vs suite median (%.4g -> %.4g instr/ref, normalizer %.3f, gate %.1f%%)",
+					name, drop, want.InstrPerRef, got.InstrPerRef, norm, threshold))
 			}
-			fmt.Fprintf(os.Stderr, "%-45s instr/s %12.0f -> %12.0f (%+.1f%% raw, %+.1f%% vs suite) %s\n",
-				name, want.InstrPerSec, got.InstrPerSec, raw, -drop, status)
-		} else if want.NsPerOp > 0 && got.NsPerOp > 0 {
+			fmt.Fprintf(os.Stderr, "%-45s instr/s %12.0f -> %12.0f (%+.1f%% raw, %+.1f%% calibrated vs suite) %s\n",
+				name, want.InstrPerSec, got.InstrPerSec, 100*(got.InstrPerSec/want.InstrPerSec-1), -drop, status)
+		case want.NsPerOp > 0 && got.NsPerOp > 0:
 			fmt.Fprintf(os.Stderr, "%-45s ns/op   %12.0f -> %12.0f (%+.1f%%) info\n",
 				name, want.NsPerOp, got.NsPerOp, 100*(got.NsPerOp-want.NsPerOp)/want.NsPerOp)
 		}
