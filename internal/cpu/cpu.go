@@ -171,9 +171,6 @@ type CPU struct {
 	events  completionHeap
 	didWork bool
 
-	// issued and memIssued count this cycle's issues and memory issues.
-	issued, memIssued int
-
 	inMemStall bool
 	stats      Stats
 }
@@ -474,93 +471,87 @@ func (c *CPU) drainStores(now uint64) {
 
 // issue wakes the consumers of every completion that has arrived, then
 // tries the ready entries oldest first: from the head to the end of the
-// ring, then the wrap-around.
+// ring, then the wrap-around. An entry that cannot issue this cycle (no
+// memory port, a full store buffer, an MSHR rejection) stays ready and
+// is retried on a later cycle.
 func (c *CPU) issue(now uint64) {
 	for len(c.events) > 0 && c.events[0].at <= now {
 		s := c.events[0].slot
 		c.events.pop()
 		c.wake(s)
 	}
-	c.issued, c.memIssued = 0, 0
-	if c.issueRange(c.head, len(c.rob), now) {
-		c.issueRange(0, c.head, now)
-	}
-}
-
-// issueRange tries the ready entries in slots [lo, hi) in slot order. It
-// returns false once the issue width is used up.
-func (c *CPU) issueRange(lo, hi int, now uint64) bool {
-	for s := c.nextReady(lo, hi); s < hi; s = c.nextReady(s+1, hi) {
-		if c.issued >= c.cfg.IssueWidth {
-			return false
+	issued, memIssued := 0, 0
+	// base+s is the global index of slot s within the current segment.
+	lo, hi, base := c.head, len(c.rob), c.headG-uint64(c.head)
+	for range 2 {
+		for s := c.nextReady(lo, hi); s < hi; s = c.nextReady(s+1, hi) {
+			if issued >= c.cfg.IssueWidth {
+				return
+			}
+			e := &c.rob[s]
+			var doneAt uint64
+			switch e.in.Kind {
+			case trace.Int:
+				doneAt = now + c.cfg.IntLat
+			case trace.Mul:
+				doneAt = now + c.cfg.MulLat
+			case trace.FP:
+				doneAt = now + c.cfg.FPLat
+			case trace.Div:
+				doneAt = now + c.cfg.DivLat
+			case trace.Branch:
+				doneAt = now + 1
+				if c.blockedG == base+uint64(s) {
+					// Branch resolved: fetch redirects after the
+					// minimum misprediction penalty.
+					c.resumeAt = doneAt + c.cfg.MispredictPenalty
+				}
+			case trace.Load:
+				if memIssued >= c.cfg.MemPorts {
+					continue
+				}
+				memIssued++
+				done, ok := c.mem.Access(e.in.Addr, false, now)
+				if !ok {
+					// A rejected access still mutates state (reject
+					// counters, L2 probe stats), so the cycle counts as
+					// work: fast-forward must not skip retry cycles a
+					// burned loop would execute.
+					c.stats.MSHRRejects++
+					c.didWork = true
+					continue
+				}
+				doneAt = done
+			case trace.Store:
+				if memIssued >= c.cfg.MemPorts {
+					continue
+				}
+				if len(c.storeDone) >= c.cfg.StoreBufferEntries {
+					// The full-buffer event accrues per executed cycle,
+					// so the cycle counts as work for the same reason a
+					// reject does.
+					c.stats.StoreBufferFullEvents++
+					c.didWork = true
+					continue // window blocks only when the buffer is full
+				}
+				memIssued++
+				done, ok := c.mem.Access(e.in.Addr, true, now)
+				if !ok {
+					c.stats.MSHRRejects++
+					c.didWork = true
+					continue
+				}
+				// The store retires from the window immediately; the
+				// store buffer tracks the in-flight write.
+				c.storeDone = append(c.storeDone, done)
+				doneAt = now + 1
+			default:
+				continue // not an instruction kind: never issues
+			}
+			issued++
+			c.complete(s, doneAt, now)
 		}
-		c.issueSlot(s, now)
-	}
-	return true
-}
-
-// issueSlot tries to issue the ready entry in slot s. An entry that
-// cannot issue this cycle (no memory port, a full store buffer, an MSHR
-// rejection) stays ready and is retried on a later cycle.
-func (c *CPU) issueSlot(s int, now uint64) {
-	e := &c.rob[s]
-	switch e.in.Kind {
-	case trace.Int:
-		c.complete(s, now+c.cfg.IntLat, now)
-	case trace.Mul:
-		c.complete(s, now+c.cfg.MulLat, now)
-	case trace.FP:
-		c.complete(s, now+c.cfg.FPLat, now)
-	case trace.Div:
-		c.complete(s, now+c.cfg.DivLat, now)
-	case trace.Branch:
-		c.complete(s, now+1, now)
-		off := s - c.head
-		if off < 0 {
-			off += len(c.rob)
-		}
-		if c.blockedG == c.headG+uint64(off) {
-			// Branch resolved: fetch redirects after the
-			// minimum misprediction penalty.
-			c.resumeAt = e.doneAt + c.cfg.MispredictPenalty
-		}
-	case trace.Load:
-		if c.memIssued >= c.cfg.MemPorts {
-			return
-		}
-		c.memIssued++
-		done, ok := c.mem.Access(e.in.Addr, false, now)
-		if !ok {
-			// A rejected access still mutates state (reject counters,
-			// L2 probe stats), so the cycle counts as work: fast-forward
-			// must not skip retry cycles a burned loop would execute.
-			c.stats.MSHRRejects++
-			c.didWork = true
-			return
-		}
-		c.complete(s, done, now)
-	case trace.Store:
-		if c.memIssued >= c.cfg.MemPorts {
-			return
-		}
-		if len(c.storeDone) >= c.cfg.StoreBufferEntries {
-			// The full-buffer event accrues per executed cycle, so the
-			// cycle counts as work for the same reason a reject does.
-			c.stats.StoreBufferFullEvents++
-			c.didWork = true
-			return // window blocks only when the buffer is full
-		}
-		c.memIssued++
-		done, ok := c.mem.Access(e.in.Addr, true, now)
-		if !ok {
-			c.stats.MSHRRejects++
-			c.didWork = true
-			return
-		}
-		// The store retires from the window immediately; the
-		// store buffer tracks the in-flight write.
-		c.storeDone = append(c.storeDone, done)
-		c.complete(s, now+1, now)
+		lo, hi, base = 0, c.head, c.headG+uint64(len(c.rob)-c.head)
 	}
 }
 
@@ -572,7 +563,6 @@ func (c *CPU) complete(s int, doneAt, now uint64) {
 	e.state = stDone
 	e.doneAt = doneAt
 	c.clearReady(s)
-	c.issued++
 	c.didWork = true
 	if doneAt <= now {
 		c.wake(s)
