@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -13,6 +14,9 @@ import (
 	"sort"
 	"testing"
 
+	"mlpcache/internal/faultinject"
+	"mlpcache/internal/metrics"
+	"mlpcache/internal/prefetch"
 	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
@@ -88,7 +92,157 @@ func goldenCases() []goldenCase {
 	cases = append(cases, goldenCase{"mcf+art/" + exact.Policy.String() + "/serial/no-fast-forward", func() (any, error) {
 		return RunMulti(exactMulti, sources("mcf", "art")...)
 	}})
-	return cases
+
+	// The serial multi-core loop across policies, core counts and two
+	// heterogeneous mixes.
+	for _, mix := range []struct {
+		label string
+		names []string
+	}{{"mcf+art", []string{"mcf", "art"}}, {"parser+mcf", []string{"parser", "mcf"}}} {
+		for _, kind := range []PolicyKind{PolicyLRU, PolicyLIN, PolicySBAR, PolicyBandit, PolicyLearned} {
+			for _, cores := range []int{1, 2, 4} {
+				cfg := DefaultConfig()
+				cfg.MaxInstructions = 40_000
+				cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
+				cfg.Parallel = ParallelOff
+				name := fmt.Sprintf("matrix/%s/%s/%dcore", mix.label, kind, cores)
+				cases = append(cases, goldenCase{name, func() (any, error) {
+					return RunMulti(cfg, matrixSources(mix.names, cores)...)
+				}})
+			}
+		}
+	}
+
+	return append(cases, featureCases()...)
+}
+
+// matrixSources builds one source per core, cycling through names and
+// seeding core i with 11+i.
+func matrixSources(names []string, cores int) []trace.Source {
+	srcs := make([]trace.Source, cores)
+	for i := range srcs {
+		spec, _ := workload.ByName(names[i%len(names)])
+		srcs[i] = spec.Build(uint64(11 + i))
+	}
+	return srcs
+}
+
+// capturedAccess is one call an AccessObserver received: an L2 demand
+// access (cost false) or a miss's completed cost (cost true).
+type capturedAccess struct {
+	Block uint64
+	Kind  AccessKind
+	CostQ uint8
+	Cost  bool
+}
+
+// accessRecorder is an AccessObserver that keeps every call in order.
+type accessRecorder struct{ log []capturedAccess }
+
+func (r *accessRecorder) OnL2Access(block uint64, kind AccessKind, costQ uint8) {
+	r.log = append(r.log, capturedAccess{Block: block, Kind: kind, CostQ: costQ})
+}
+
+func (r *accessRecorder) OnMissCost(block uint64, costQ uint8) {
+	r.log = append(r.log, capturedAccess{Block: block, CostQ: costQ, Cost: true})
+}
+
+// featureCases pins each optional single-core feature of the memory
+// system and run loop: prefetching, fault injection, access capture,
+// the Figure 11 series, snapshot emission through the v2 tracer, an
+// audited rand-dynamic SBAR run with epochs, the time-shared MSHR adders
+// and the MissHook call sequence. Cases whose feature has a side output
+// digest it next to the Result.
+func featureCases() []goldenCase {
+	build := func(name string) trace.Source {
+		spec, _ := workload.ByName(name)
+		return spec.Build(42)
+	}
+	base := func(p PolicySpec, n uint64) Config {
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = n
+		cfg.Policy = p
+		return cfg
+	}
+	lin := PolicySpec{Kind: PolicyLIN, Lambda: 4}
+	sbar := PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}
+	return []goldenCase{
+		{"feature/prefetch", func() (any, error) {
+			cfg := base(lin, 150_000)
+			cfg.L2.SizeBytes = 128 * 1024
+			p := prefetch.DefaultConfig()
+			cfg.Prefetch = &p
+			res, err := Run(cfg, build("twolf"))
+			if err == nil && (res.Mem.PrefetchIssued == 0 || res.Mem.PrefetchUnused == 0) {
+				err = fmt.Errorf("prefetcher idle: %+v", res.Mem)
+			}
+			return res, err
+		}},
+		{"feature/faults", func() (any, error) {
+			cfg := base(sbar, 100_000)
+			cfg.Faults = &faultinject.Plan{Seed: 3, DRAMJitterMax: 97, MSHRCapacity: 2, MSHRThrottleAfter: 20_000}
+			return Run(cfg, build("mcf"))
+		}},
+		{"feature/capture", func() (any, error) {
+			cfg := base(lin, 100_000)
+			rec := &accessRecorder{}
+			cfg.Capture = rec
+			res, err := Run(cfg, build("parser"))
+			return struct {
+				Res Result
+				Log []capturedAccess
+			}{res, rec.log}, err
+		}},
+		{"feature/series", func() (any, error) {
+			cfg := base(sbar, 100_000)
+			cfg.SampleInterval = 10_000
+			return Run(cfg, build("mcf"))
+		}},
+		{"feature/snapshot", func() (any, error) {
+			cfg := base(lin, 100_000)
+			var buf bytes.Buffer
+			tr := metrics.NewBinaryTracer(&buf, metrics.RunHeader{Bench: "art", Policy: lin.String(), Seed: 42})
+			cfg.Trace = tr
+			cfg.SnapshotInterval = 10_000
+			res, err := Run(cfg, build("art"))
+			if err == nil {
+				err = tr.Flush()
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			return struct {
+				Res    Result
+				Len    int
+				Digest uint64
+			}{res, buf.Len(), h.Sum64()}, err
+		}},
+		{"feature/audit-rand-sbar-epochs", func() (any, error) {
+			cfg := base(PolicySpec{Kind: PolicySBAR, Seed: 7, RandDynamic: true}, 100_000)
+			cfg.EpochInstructions = 25_000
+			cfg.Audit = true
+			cfg.AuditEvery = 4096
+			return Run(cfg, build("mcf"))
+		}},
+		{"feature/mshr-adders", func() (any, error) {
+			cfg := base(lin, 100_000)
+			cfg.MSHR.Adders = 2
+			return Run(cfg, build("mcf"))
+		}},
+		{"feature/misshook", func() (any, error) {
+			type miss struct {
+				Addr  uint64
+				CostQ uint8
+			}
+			var log []miss
+			cfg := base(sbar, 100_000)
+			cfg.MissHook = func(addr uint64, costQ uint8) { log = append(log, miss{addr, costQ}) }
+			res, err := Run(cfg, build("mcf"))
+			return struct {
+				Res Result
+				Log []miss
+			}{res, log}, err
+		}},
+	}
 }
 
 // TestGoldenResults pins the simulator's output bit for bit: every case's
