@@ -41,14 +41,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke runs the observability, tracing, oracle, multi-core,
-# learned-eviction, parallel-engine and arena benchmarks once each and
+# learned-eviction and arena benchmarks once each and
 # fails if any stops being selected — a renamed or deleted benchmark
 # silently vanishes from `go test -bench`, so the output is grepped for
 # each name.
 bench-smoke:
-	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkParallelMulticore|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
+	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
-	for name in BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkParallelMulticore BenchmarkArenaReuse; do \
+	for name in BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkArenaReuse; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
@@ -80,8 +80,7 @@ bench-record:
 # wall-clock figure — only drops *away from the pack* indicate a code
 # regression), a >20% allocs/op growth against the committed snapshot,
 # a v2-traced run allocating more than 2x an untraced one, a
-# learned-policy run allocating more than 1.5x the LRU baseline, a
-# 4-core parallel run slower than serial on a 4+-CPU host, or an
+# learned-policy run allocating more than 1.5x the LRU baseline, or an
 # arena-reused run allocating more than 0.5x a cold one (see
 # docs/PERFORMANCE.md for the contract). Part of tier1. Medians of 8
 # separate suite passes on both sides, so each benchmark's samples are

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -416,7 +415,6 @@ func BenchmarkMulticoreThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig()
 		cfg.MaxInstructions = benchInstructions
-		cfg.Parallel = sim.ParallelOff // serial baseline; the engines race in BenchmarkParallelMulticore
 		res, err := sim.RunMulti(cfg, mcf.Build(42), art.Build(43))
 		if err != nil {
 			b.Fatal(err)
@@ -424,47 +422,6 @@ func BenchmarkMulticoreThroughput(b *testing.B) {
 		total += res.Instructions()
 	}
 	reportThroughput(b, float64(total), ref)
-}
-
-// parallelBenchInstructions is the per-core budget for the engine race:
-// smaller than benchInstructions because the 4-core serial leg retires
-// four budgets per iteration.
-const parallelBenchInstructions = 750_000
-
-// BenchmarkParallelMulticore races the parallel wavefront engine
-// against the serial interleave on the same heterogeneous mix at 2 and
-// 4 cores, reporting aggregate instr/s plus the host's CPU count.
-// bench-compare's relational gate requires parallel4 >= serial4 when
-// the recorded cpus figure is at least 4 — the engines compute
-// bit-identical results (see docs/MULTICORE.md), so on a wide host the
-// parallel one must pay for its barriers with wall-clock wins.
-func BenchmarkParallelMulticore(b *testing.B) {
-	benches := []string{"mcf", "art", "parser", "equake"}
-	run := func(b *testing.B, cores int, mode sim.ParallelMode) {
-		var total uint64
-		ref := startThroughput(b)
-		for i := 0; i < b.N; i++ {
-			cfg := sim.DefaultConfig()
-			cfg.MaxInstructions = parallelBenchInstructions
-			cfg.Parallel = mode
-			srcs := make([]trace.Source, cores)
-			for c := 0; c < cores; c++ {
-				spec, _ := workload.ByName(benches[c%len(benches)])
-				srcs[c] = spec.Build(42 + uint64(c))
-			}
-			res, err := sim.RunMulti(cfg, srcs...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += res.Instructions()
-		}
-		reportThroughput(b, float64(total), ref)
-		b.ReportMetric(float64(runtime.NumCPU()), "cpus")
-	}
-	b.Run("serial2", func(b *testing.B) { run(b, 2, sim.ParallelOff) })
-	b.Run("parallel2", func(b *testing.B) { run(b, 2, sim.ParallelOn) })
-	b.Run("serial4", func(b *testing.B) { run(b, 4, sim.ParallelOff) })
-	b.Run("parallel4", func(b *testing.B) { run(b, 4, sim.ParallelOn) })
 }
 
 // BenchmarkArenaReuse prices zero-rebuild simulation arenas on the
@@ -478,7 +435,6 @@ func BenchmarkArenaReuse(b *testing.B) {
 	run := func(b *testing.B, arena *sim.Arena) {
 		cfg := sim.DefaultConfig()
 		cfg.MaxInstructions = 200_000
-		cfg.Parallel = sim.ParallelOff
 		cfg.Arena = arena
 		runOnce := func() {
 			if _, err := sim.RunMulti(cfg, mcf.Build(42), art.Build(43)); err != nil {

@@ -19,36 +19,36 @@ const arenaPoolCap = 128
 // files, blockmap tables, fill-heap backing and fill freelists — across
 // runs, so a worker executing many simulations (an experiment sweep, an
 // mlpserve worker) pays the cold-allocation cost once instead of per
-// job. Set Config.Arena to use it; both the single-core and multi-core
-// engines draw their components from the arena and return them after
-// the result is assembled.
+// job. Set Config.Arena to use it; the memory system draws its components
+// from the arena and returns them after the result is assembled.
 //
 // Recycled components are reset to their just-built state on reuse
 // (cache.Reset, mshr.Reset, blockmap.Reset), so arena-backed runs are
-// bit-identical to cold ones — TestArenaRunsBitIdentical holds the two
-// engines to that. Result histograms and policy state are never pooled:
-// results alias them after the run returns (the experiment cache
-// memoizes Results), so the arena only touches objects the engines own
-// outright.
+// bit-identical to cold ones — TestArenaRunsBitIdentical holds single-
+// and multi-core runs to that. Result histograms and policy state are
+// never pooled: results alias them after the run returns (the experiment
+// cache memoizes Results), so the arena only touches objects the memory
+// system owns outright.
 //
 // An Arena is not goroutine-safe. Give each worker goroutine its own;
 // internal/experiments.Runner and internal/service do exactly that
 // (docs/PERFORMANCE.md "Simulation arenas").
 type Arena struct {
-	caches  []*cache.Cache
-	mshrs   []*mshr.MSHR
-	cpus    []*cpu.CPU
-	single  []*blockmap.Table[*fill]
-	multi   []*blockmap.Table[*multiFill]
-	tracked []*blockmap.Table[blockInfo]
+	caches   []*cache.Cache
+	mshrs    []*mshr.MSHR
+	cpus     []*cpu.CPU
+	inflight []*blockmap.Table[*fill]
+	tracked  []*blockmap.Table[blockInfo]
 
-	// Fill-heap backing arrays and freelists, objects included: the
-	// fills themselves are plain structs the engines fully overwrite on
+	// Fill-heap backing array and freelist, objects included: the fills
+	// themselves are plain structs the memory system fully overwrites on
 	// reuse (newFill), so carrying them between runs is safe.
-	singleHeap []*fill
-	singleFree []*fill
-	multiHeap  []*multiFill
-	multiFree  []*multiFill
+	heap []*fill
+	free []*fill
+	// ports is the last run's port array, reused by the next run that
+	// fits in it. release clears it first, so it pins no component or
+	// instruction source between runs.
+	ports []corePort
 
 	stats ArenaStats
 }
@@ -164,54 +164,24 @@ func (a *Arena) getCPU(cfg cpu.Config, mem cpu.MemSystem, src trace.Source) *cpu
 	return cpu.New(cfg, mem, src)
 }
 
-// putCPUs returns core models after result assembly. Results copy CPU
-// statistics out by value, so nothing released here is reachable from
-// the caller's Result.
-func (a *Arena) putCPUs(cpus ...*cpu.CPU) {
-	if a == nil {
-		return
-	}
-	for _, c := range cpus {
-		if c != nil && len(a.cpus) < arenaPoolCap {
-			a.cpus = append(a.cpus, c)
-		}
-	}
-}
-
 // Table pools. Any pooled table serves any request: blockmap tables
 // grow on demand, and a table recycled from an earlier run has already
 // grown to that run's population, so steady-state reuse never rehashes.
 
-func (a *Arena) getSingleTable(expected int) *blockmap.Table[*fill] {
+func (a *Arena) getInflightTable(expected int) *blockmap.Table[*fill] {
 	if a == nil {
 		return blockmap.New[*fill](expected)
 	}
-	if n := len(a.single); n > 0 {
-		t := a.single[n-1]
-		a.single[n-1] = nil
-		a.single = a.single[:n-1]
+	if n := len(a.inflight); n > 0 {
+		t := a.inflight[n-1]
+		a.inflight[n-1] = nil
+		a.inflight = a.inflight[:n-1]
 		t.Reset()
 		a.stats.TableReuses++
 		return t
 	}
 	a.stats.TableBuilds++
 	return blockmap.New[*fill](expected)
-}
-
-func (a *Arena) getMultiTable(expected int) *blockmap.Table[*multiFill] {
-	if a == nil {
-		return blockmap.New[*multiFill](expected)
-	}
-	if n := len(a.multi); n > 0 {
-		t := a.multi[n-1]
-		a.multi[n-1] = nil
-		a.multi = a.multi[:n-1]
-		t.Reset()
-		a.stats.TableReuses++
-		return t
-	}
-	a.stats.TableBuilds++
-	return blockmap.New[*multiFill](expected)
 }
 
 func (a *Arena) getTrackedTable(expected int) *blockmap.Table[blockInfo] {
@@ -230,41 +200,51 @@ func (a *Arena) getTrackedTable(expected int) *blockmap.Table[blockInfo] {
 	return blockmap.New[blockInfo](expected)
 }
 
-// getSingleFills returns recycled fill-heap backing and a recycled
-// freelist for the single-core engine (both possibly nil/empty on a
-// cold arena). The freelist carries live *fill objects from the
-// previous run; newFill overwrites every field on reuse.
-func (a *Arena) getSingleFills() (heap []*fill, free []*fill) {
+// getFills returns recycled fill-heap backing and a recycled freelist
+// (both possibly nil/empty on a cold arena). The freelist carries live
+// *fill objects from the previous run; newFill overwrites every field on
+// reuse.
+func (a *Arena) getFills() (heap []*fill, free []*fill) {
 	if a == nil {
 		return nil, nil
 	}
-	heap, free = a.singleHeap, a.singleFree
-	a.singleHeap, a.singleFree = nil, nil
+	heap, free = a.heap, a.free
+	a.heap, a.free = nil, nil
 	return heap[:0:cap(heap)], free
 }
 
-func (a *Arena) getMultiFills() (heap []*multiFill, free []*multiFill) {
-	if a == nil {
-		return nil, nil
+// getPorts returns an n-port array, the pooled one when it is large
+// enough. newMemSystem overwrites every port it uses.
+func (a *Arena) getPorts(n int) []corePort {
+	if a == nil || cap(a.ports) < n {
+		return make([]corePort, n)
 	}
-	heap, free = a.multiHeap, a.multiFree
-	a.multiHeap, a.multiFree = nil, nil
-	return heap[:0:cap(heap)], free
+	ports := a.ports[:n]
+	a.ports = nil
+	return ports
 }
 
-// release returns a single-core memory system's poolable components.
-// The engines call it after result assembly; nothing released here is
-// reachable from the Result (histograms, policy state and stats values
-// stay with the caller).
+// release returns a memory system's poolable components: the shared L2,
+// every core's L1, MSHR file and CPU model, and the shared tables, heap
+// backing and freelist. The run entry points call it after result
+// assembly; nothing released here is reachable from a result (stats are
+// copied out by value; histograms, policy state and stats values stay
+// with the caller).
 func (a *Arena) release(m *memSystem) {
 	if a == nil || m == nil {
 		return
 	}
-	a.putCache(m.l1)
 	a.putCache(m.l2)
-	a.putMSHR(m.mshr)
-	if len(a.single) < arenaPoolCap {
-		a.single = append(a.single, m.inflight)
+	for i := range m.ports {
+		p := &m.ports[i]
+		a.putCache(p.l1)
+		a.putMSHR(p.mshr)
+		if len(a.cpus) < arenaPoolCap {
+			a.cpus = append(a.cpus, p.cpu)
+		}
+	}
+	if len(a.inflight) < arenaPoolCap {
+		a.inflight = append(a.inflight, m.inflight)
 	}
 	if len(a.tracked) < arenaPoolCap {
 		a.tracked = append(a.tracked, m.tracked)
@@ -272,29 +252,9 @@ func (a *Arena) release(m *memSystem) {
 	// The heap drains before a run completes normally; clear any
 	// stragglers (errored runs) so the backing array holds no live fills.
 	clear(m.fills.h)
-	a.singleHeap, a.singleFree = m.fills.h[:0:cap(m.fills.h)], m.fillFree
-}
-
-// releaseMulti returns a multi-core memory system's poolable
-// components: the shared L2, every core's L1 and MSHR file, and the
-// shared tables, heap backing and freelist.
-func (a *Arena) releaseMulti(m *multiMemSystem) {
-	if a == nil || m == nil {
-		return
-	}
-	a.putCache(m.l2)
-	for _, p := range m.ports {
-		a.putCache(p.l1)
-		a.putMSHR(p.mshr)
-	}
-	if len(a.multi) < arenaPoolCap {
-		a.multi = append(a.multi, m.inflight)
-	}
-	if len(a.tracked) < arenaPoolCap {
-		a.tracked = append(a.tracked, m.tracked)
-	}
-	clear(m.fills.h)
-	a.multiHeap, a.multiFree = m.fills.h[:0:cap(m.fills.h)], m.fillFree
+	a.heap, a.free = m.fills.h[:0:cap(m.fills.h)], m.fillFree
+	clear(m.ports)
+	a.ports = m.ports
 }
 
 func (a *Arena) putCache(c *cache.Cache) {

@@ -9,7 +9,7 @@ import (
 
 // TestArenaRunsBitIdentical is the arena's correctness anchor: a run
 // drawing every bulk component from a warm arena must reproduce a cold
-// run bit for bit, for both engines. The arena's whole contract is
+// run bit for bit, single- and multi-core. The arena's whole contract is
 // reset-to-just-built state on reuse; any counter a Reset misses shows
 // up here as a DeepEqual diff.
 func TestArenaRunsBitIdentical(t *testing.T) {
@@ -41,30 +41,26 @@ func TestArenaRunsBitIdentical(t *testing.T) {
 		}
 	})
 
-	for name, mode := range map[string]ParallelMode{"multi-serial": ParallelOff, "multi-parallel": ParallelOn} {
-		mode := mode
-		t.Run(name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.MaxInstructions = 30_000
-			cfg.Policy = PolicySpec{Kind: PolicyLIN}
-			cfg.Parallel = mode
-			cold, err := RunMulti(cfg, mcf.Build(11), art.Build(12))
-			if err != nil {
-				t.Fatalf("cold run failed: %v", err)
-			}
-			cfg.Arena = NewArena()
-			if _, err := RunMulti(cfg, art.Build(5), mcf.Build(6)); err != nil {
-				t.Fatalf("warm-up run failed: %v", err)
-			}
-			warm, err := RunMulti(cfg, mcf.Build(11), art.Build(12))
-			if err != nil {
-				t.Fatalf("arena run failed: %v", err)
-			}
-			if !reflect.DeepEqual(warm, cold) {
-				t.Fatalf("arena-backed run diverges from cold run:\nwarm: %+v\ncold: %+v", warm, cold)
-			}
-		})
-	}
+	t.Run("multi-serial", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = 30_000
+		cfg.Policy = PolicySpec{Kind: PolicyLIN}
+		cold, err := RunMulti(cfg, mcf.Build(11), art.Build(12))
+		if err != nil {
+			t.Fatalf("cold run failed: %v", err)
+		}
+		cfg.Arena = NewArena()
+		if _, err := RunMulti(cfg, art.Build(5), mcf.Build(6)); err != nil {
+			t.Fatalf("warm-up run failed: %v", err)
+		}
+		warm, err := RunMulti(cfg, mcf.Build(11), art.Build(12))
+		if err != nil {
+			t.Fatalf("arena run failed: %v", err)
+		}
+		if !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("arena-backed run diverges from cold run:\nwarm: %+v\ncold: %+v", warm, cold)
+		}
+	})
 }
 
 // TestArenaSharedAcrossConfigs exercises geometry matching: runs with a

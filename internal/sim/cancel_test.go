@@ -60,3 +60,46 @@ func TestRunMatchesRunContextBackground(t *testing.T) {
 		t.Fatal("RunContext(Background) diverged from Run")
 	}
 }
+
+// TestRunMultiCancellation cancels a four-core run before it starts and
+// again on a deadline mid-run: both must return ErrCancelled.
+func TestRunMultiCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 5_000_000 // far more work than the deadline allows
+	_, err := RunMultiContext(ctx, cfg, mixSources([]string{"mcf", "art"}, 4)...)
+	if !errors.Is(err, simerr.ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("want ErrCancelled wrapping context.Canceled, got %v", err)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	_, err = RunMultiContext(ctx, cfg, mixSources([]string{"mcf", "art"}, 4)...)
+	if !errors.Is(err, simerr.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want ErrCancelled wrapping context.DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestRunMultiPanicIsInternalError injects a panic into the miss path of
+// a four-core run (via MissHook, which runs as a fill is serviced) and
+// requires the run to surface ErrInternal instead of unwinding into the
+// caller.
+func TestRunMultiPanicIsInternalError(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 200_000
+	hooked := 0
+	cfg.MissHook = func(addr uint64, costQ uint8) {
+		hooked++
+		if hooked == 100 {
+			panic("injected fault")
+		}
+	}
+	res, err := RunMulti(cfg, mixSources([]string{"mcf", "art"}, 4)...)
+	if !errors.Is(err, simerr.ErrInternal) {
+		t.Fatalf("want ErrInternal, got %v", err)
+	}
+	if res.Cores != nil {
+		t.Fatalf("a panicked run returned a partial result: %+v", res)
+	}
+}

@@ -68,15 +68,12 @@ func goldenCases() []goldenCase {
 		{"mcf+art+parser+equake", []string{"mcf", "art", "parser", "equake"}, PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}},
 	}
 	for _, mix := range mixes {
-		for engine, mode := range map[string]ParallelMode{"serial": ParallelOff, "parallel": ParallelOn} {
-			cfg := DefaultConfig()
-			cfg.MaxInstructions = 100_000
-			cfg.Policy = mix.policy
-			cfg.Parallel = mode
-			cases = append(cases, goldenCase{mix.label + "/" + mix.policy.String() + "/" + engine, func() (any, error) {
-				return RunMulti(cfg, sources(mix.names...)...)
-			}})
-		}
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = 100_000
+		cfg.Policy = mix.policy
+		cases = append(cases, goldenCase{mix.label + "/" + mix.policy.String() + "/serial", func() (any, error) {
+			return RunMulti(cfg, sources(mix.names...)...)
+		}})
 	}
 
 	exact := DefaultConfig()
@@ -87,10 +84,8 @@ func goldenCases() []goldenCase {
 		spec, _ := workload.ByName("mcf")
 		return Run(exact, spec.Build(42))
 	}})
-	exactMulti := exact
-	exactMulti.Parallel = ParallelOff
 	cases = append(cases, goldenCase{"mcf+art/" + exact.Policy.String() + "/serial/no-fast-forward", func() (any, error) {
-		return RunMulti(exactMulti, sources("mcf", "art")...)
+		return RunMulti(exact, sources("mcf", "art")...)
 	}})
 
 	// The serial multi-core loop across policies, core counts and two
@@ -104,10 +99,9 @@ func goldenCases() []goldenCase {
 				cfg := DefaultConfig()
 				cfg.MaxInstructions = 40_000
 				cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
-				cfg.Parallel = ParallelOff
 				name := fmt.Sprintf("matrix/%s/%s/%dcore", mix.label, kind, cores)
 				cases = append(cases, goldenCase{name, func() (any, error) {
-					return RunMulti(cfg, matrixSources(mix.names, cores)...)
+					return RunMulti(cfg, mixSources(mix.names, cores)...)
 				}})
 			}
 		}
@@ -116,9 +110,9 @@ func goldenCases() []goldenCase {
 	return append(cases, featureCases()...)
 }
 
-// matrixSources builds one source per core, cycling through names and
+// mixSources builds one source per core, cycling through names and
 // seeding core i with 11+i.
-func matrixSources(names []string, cores int) []trace.Source {
+func mixSources(names []string, cores int) []trace.Source {
 	srcs := make([]trace.Source, cores)
 	for i := range srcs {
 		spec, _ := workload.ByName(names[i%len(names)])

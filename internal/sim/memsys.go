@@ -1,29 +1,43 @@
 package sim
 
 import (
+	"math/bits"
+
+	"mlpcache/internal/audit"
 	"mlpcache/internal/blockmap"
 	"mlpcache/internal/cache"
 	"mlpcache/internal/core"
+	"mlpcache/internal/cpu"
 	"mlpcache/internal/dram"
 	"mlpcache/internal/faultinject"
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/mshr"
 	"mlpcache/internal/prefetch"
 	"mlpcache/internal/stats"
+	"mlpcache/internal/trace"
 )
 
-// clockTracer stamps outgoing events with the current cycle before
-// forwarding them. The replacement policies emit victim and PSEL events
-// without a notion of time; the memory system keeps now current so the
-// exported stream is fully ordered.
+// clockTracer stamps outgoing events with the current cycle and the
+// issuing core before forwarding them. The replacement policies emit
+// victim, contest and PSEL events without a notion of time or thread;
+// the memory system keeps now and tid current so the exported stream is
+// fully ordered and carries the thread that caused each event. psel.update
+// events are exempt from tid stamping — the selector is partitioned per
+// thread and SBAR tags those events with the counter's owner itself,
+// which can legitimately differ from the core whose fill is being
+// serviced (a deferred leader-contest decrement).
 type clockTracer struct {
 	dst metrics.Tracer
 	now uint64
+	tid int
 }
 
 func (t *clockTracer) Emit(ev metrics.Event) {
 	if ev.Cycle == 0 {
 		ev.Cycle = t.now
+	}
+	if ev.Tid == 0 && ev.Type != metrics.EventPselUpdate {
+		ev.Tid = t.tid
 	}
 	t.dst.Emit(ev)
 }
@@ -58,6 +72,21 @@ type MemStats struct {
 	// is never pruned, so this doubles as the memory system's own memory
 	// footprint gauge; exported as sim.mem.tracked_blocks.
 	TrackedBlocks uint64
+}
+
+// add accumulates o's counters into s. TrackedBlocks is a chip-wide
+// gauge, not a per-core counter, so it is left alone.
+func (s *MemStats) add(o MemStats) {
+	s.DemandMisses += o.DemandMisses
+	s.MergedMisses += o.MergedMisses
+	s.CompulsoryMisses += o.CompulsoryMisses
+	s.L1WritebackDrops += o.L1WritebackDrops
+	s.CostQSum += o.CostQSum
+	s.PrefetchIssued += o.PrefetchIssued
+	s.PrefetchDropped += o.PrefetchDropped
+	s.PrefetchUseful += o.PrefetchUseful
+	s.PrefetchUnused += o.PrefetchUnused
+	s.PrefetchLate += o.PrefetchLate
 }
 
 // DeltaStats is the Table 1 measurement: the distribution of the absolute
@@ -104,12 +133,16 @@ func (d *DeltaStats) add(delta float64) {
 	d.sum += delta
 }
 
-// fill is a pending DRAM→L2 fill.
+// fill is a pending DRAM→L2 fill. owner is the core whose access issued
+// the primary miss (or the prefetch); sharers is the bitmask of cores
+// with an MSHR entry waiting on the block, owner's bit included.
 type fill struct {
 	done     uint64
 	addr     uint64
 	write    bool // a store touched the block while the miss was in flight
 	prefetch bool // still a pure prefetch (no demand access merged)
+	owner    int
+	sharers  uint64
 }
 
 // blockInfo is the per-block record in the memory system's flat
@@ -171,32 +204,67 @@ func (h *fillHeap) Pop() *fill {
 	return out
 }
 
-// memSystem is the two-level hierarchy the core issues into. It
-// implements cpu.MemSystem.
+// corePort is one core of the machine: its CPU model, and its private L1
+// and MSHR file in front of the shared L2. It implements cpu.MemSystem
+// for that core. Keeping the MSHR per core keeps Algorithm 1's cost
+// clock per thread: each cycle divides among that core's own outstanding
+// demand misses, so mlp-cost measures the issuing thread's overlap, not
+// the whole chip's.
+type corePort struct {
+	m    *memSystem
+	tid  int
+	l1   *cache.Cache
+	mshr *mshr.MSHR
+
+	cpu     *cpu.CPU
+	src     trace.Source // the caller's source, checked for a deferred decode error
+	retired uint64
+
+	mstats   MemStats // this core's counters
+	costSum  float64  // summed mlp-cost over this core's serviced misses
+	costHist *stats.Histogram
+}
+
+// memSystem is the machine every run executes on: one port per core,
+// each with a private L1 and MSHR file, in front of one shared L2, one
+// shared DRAM and one replacement engine. A single-core run is the
+// one-port case. It also owns the run loop's optional instruments —
+// prefetcher, access capture, fault injection, tracer, auditor and the
+// Figure 11 series — so sim.Run and sim.RunMulti differ only in how
+// they assemble their results.
 type memSystem struct {
 	cfg    Config
-	l1     *cache.Cache
 	l2     *cache.Cache
-	mshr   *mshr.MSHR
 	dram   *dram.DRAM
 	hybrid core.Hybrid
+	// sbar is the hybrid downcast when the selector is partitioned per
+	// thread (SBAR with Threads > 1); nil otherwise (DIP and CBS keep a
+	// single shared counter, as documented in docs/MULTICORE.md).
+	sbar *core.SBAR
+
+	ports []corePort
 
 	fills    fillHeap
-	inflight *blockmap.Table[*fill] // block → pending fill; bounded by the MSHR
+	inflight *blockmap.Table[*fill] // block → pending fill; bounded by the MSHRs
 	fillFree []*fill                // serviced fills recycled into new misses
 
 	// tracked is the flat per-block footprint store, replacing the three
 	// block-keyed Go maps the miss path used to touch (seen, lastCost,
-	// prefetched). One probe finds all of a block's history. Its
-	// population grows with the run's distinct-block footprint and is
-	// never pruned — by design, since compulsory-miss classification
+	// prefetched). One probe finds all of a block's history. Compulsory-
+	// miss classification and Table 1 deltas are block properties, so
+	// the store is chip-wide even though cost accounting is per thread.
+	// Its population grows with the run's distinct-block footprint and
+	// is never pruned — by design, since compulsory-miss classification
 	// needs full history; the final size is exported as the
 	// sim.mem.tracked_blocks gauge so runs can watch the footprint.
 	tracked *blockmap.Table[blockInfo]
 
-	costHist *stats.Histogram // Figure 2: mlp-cost, 60-cycle bins
-	delta    DeltaStats
-	mstats   MemStats
+	costHist *stats.Histogram // aggregate Figure 2 distribution
+	delta    DeltaStats       // Table 1 deltas over the shared block store
+
+	// crossMerges counts demand misses that joined another core's
+	// in-flight miss (exported as multicore.cross_core_merges).
+	crossMerges uint64
 
 	pf *prefetch.Prefetcher
 
@@ -205,41 +273,86 @@ type memSystem struct {
 	inj *faultinject.Injector
 
 	// tr, when non-nil, receives the miss-lifecycle event stream and is
-	// shared (cycle-stamped) with the replacement policies.
+	// shared (cycle- and thread-stamped) with the replacement policies.
 	tr *clockTracer
 
 	// capture, when non-nil, receives the L2 demand-access stream for
 	// offline oracle replay (Config.Capture).
 	capture AccessObserver
 
+	auditor *audit.Auditor
+	series  *SeriesSet // non-nil when Config.SampleInterval is set
+
 	// Interval accumulators for the Figure 11 time series.
 	intMisses   uint64
 	intCostQSum uint64
 }
 
-func newMemSystem(cfg Config, l2 *cache.Cache, hybrid core.Hybrid, inj *faultinject.Injector) *memSystem {
+// newMemSystem builds the machine for one instruction source per core,
+// drawing its bulk components from cfg.Arena.
+func newMemSystem(cfg Config, srcs []trace.Source) (*memSystem, error) {
+	cores := len(srcs)
+	l2, hybrid, err := buildL2(cfg, cores)
+	if err != nil {
+		return nil, err
+	}
 	m := &memSystem{
 		cfg:      cfg,
-		inj:      inj,
-		l1:       cfg.Arena.getCache(cfg.L1, cache.NewLRU()),
 		l2:       l2,
-		mshr:     cfg.Arena.getMSHR(cfg.MSHR),
 		dram:     dram.New(cfg.DRAM),
 		hybrid:   hybrid,
-		inflight: cfg.Arena.getSingleTable(cfg.MSHR.Entries),
+		inflight: cfg.Arena.getInflightTable(cores * cfg.MSHR.Entries),
 		tracked:  cfg.Arena.getTrackedTable(256),
 		costHist: stats.NewHistogram(60, 8),
 		capture:  cfg.Capture,
 	}
-	m.fills.h, m.fillFree = cfg.Arena.getSingleFills()
+	m.fills.h, m.fillFree = cfg.Arena.getFills()
+	if s, ok := hybrid.(*core.SBAR); ok && s.Threads() > 1 {
+		m.sbar = s
+	}
 	if cfg.Prefetch != nil {
 		m.pf = prefetch.New(*cfg.Prefetch)
+	}
+	if cfg.Faults != nil && cfg.Faults.Active() {
+		m.inj = faultinject.NewInjector(*cfg.Faults)
 	}
 	if cfg.Trace != nil {
 		m.tr = &clockTracer{dst: cfg.Trace}
 		attachTracer(l2, hybrid, m.tr)
 	}
-	return m
+	m.ports = cfg.Arena.getPorts(cores)
+	for i, src := range srcs {
+		p := &m.ports[i]
+		*p = corePort{
+			m:        m,
+			tid:      i,
+			l1:       cfg.Arena.getCache(cfg.L1, cache.NewLRU()),
+			mshr:     cfg.Arena.getMSHR(cfg.MSHR),
+			src:      src,
+			costHist: m.costHist, // a lone core's distribution is the aggregate
+		}
+		if cores > 1 {
+			p.costHist = stats.NewHistogram(60, 8)
+		}
+		if cfg.MaxInstructions > 0 {
+			src = trace.NewLimit(src, int(cfg.MaxInstructions))
+		}
+		p.cpu = cfg.Arena.getCPU(cfg.CPU, p, src)
+	}
+	if cfg.Audit {
+		m.auditor = m.buildAuditor()
+	}
+	if cfg.SampleInterval > 0 {
+		m.series = &SeriesSet{
+			AvgCostQ:      stats.Series{Name: "avg-costq-per-miss"},
+			MPKI:          stats.Series{Name: "mpki"},
+			IPC:           stats.Series{Name: "ipc"},
+			UsingLIN:      stats.Series{Name: "lin-selected"},
+			PselValue:     stats.Series{Name: "psel-value"},
+			MSHROccupancy: stats.Series{Name: "mshr-occupancy"},
+		}
+	}
+	return m, nil
 }
 
 // attachTracer hands the cycle-stamping tracer to whichever replacement
@@ -258,19 +371,21 @@ func attachTracer(l2 *cache.Cache, hybrid core.Hybrid, tr metrics.Tracer) {
 	}
 }
 
-// newFill builds a pending fill, recycling a serviced one from the
-// freelist when available so steady-state miss traffic allocates
-// nothing: the live fill population is bounded by the MSHR, and every
-// serviced fill returns to the list.
-func (m *memSystem) newFill(done, addr uint64, write, prefetch bool) *fill {
+// newFill builds a pending fill with the owner's sharer bit set,
+// recycling a serviced one from the freelist when available so
+// steady-state miss traffic allocates nothing: the live fill population
+// is bounded by the MSHRs, and every serviced fill returns to the list.
+func (m *memSystem) newFill(done, addr uint64, write, prefetch bool, owner int) *fill {
+	var f *fill
 	if n := len(m.fillFree); n > 0 {
-		f := m.fillFree[n-1]
+		f = m.fillFree[n-1]
 		m.fillFree[n-1] = nil
 		m.fillFree = m.fillFree[:n-1]
-		*f = fill{done: done, addr: addr, write: write, prefetch: prefetch}
-		return f
+	} else {
+		f = new(fill)
 	}
-	return &fill{done: done, addr: addr, write: write, prefetch: prefetch}
+	*f = fill{done: done, addr: addr, write: write, prefetch: prefetch, owner: owner, sharers: 1 << uint(owner)}
+	return f
 }
 
 // dramRead issues a DRAM read and applies any injected latency jitter to
@@ -284,35 +399,45 @@ func (m *memSystem) dramRead(block uint64, at uint64) uint64 {
 // trainPrefetcher observes a demand L2 access and issues any predicted
 // prefetches: non-demand MSHR allocations that Algorithm 1 does not
 // charge.
-func (m *memSystem) trainPrefetcher(block uint64, now uint64) {
+func (p *corePort) trainPrefetcher(block uint64, now uint64) {
+	m := p.m
 	if m.pf == nil {
 		return
 	}
 	for _, target := range m.pf.Observe(block) {
 		addr := target * m.l2.Config().BlockBytes
-		if m.l2.Contains(addr) || m.mshr.Pending(target) {
+		if m.l2.Contains(addr) || p.mshr.Pending(target) {
 			continue
 		}
-		if m.mshr.Full() {
-			m.mstats.PrefetchDropped++
+		if p.mshr.Full() {
+			p.mstats.PrefetchDropped++
 			continue
 		}
-		m.mshr.Allocate(target, false, now)
-		m.mstats.PrefetchIssued++
+		p.mshr.Allocate(target, false, now)
+		p.mstats.PrefetchIssued++
 		done := m.dramRead(target, now)
-		f := m.newFill(done, addr, false, true)
+		f := m.newFill(done, addr, false, true, p.tid)
 		m.inflight.Put(target, f)
 		m.fills.Push(f)
 	}
 }
 
-// Access implements cpu.MemSystem.
-func (m *memSystem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
+// Access implements cpu.MemSystem for one core: the private L1 probe,
+// then the shared L2. A miss on a block another core already has in
+// flight allocates a primary entry in this core's own MSHR and joins the
+// fill's sharer set, so the waiting thread pays its own cost clock for
+// the overlap (a cross-core merge).
+func (p *corePort) Access(addr uint64, write bool, now uint64) (uint64, bool) {
+	m := p.m
+	if p.l1.Probe(addr, write) {
+		return now + m.cfg.L1Lat, true
+	}
 	if m.tr != nil {
 		m.tr.now = now
+		m.tr.tid = p.tid
 	}
-	if m.l1.Probe(addr, write) {
-		return now + m.cfg.L1Lat, true
+	if m.sbar != nil {
+		m.sbar.SetThread(p.tid)
 	}
 	l2Hit := m.l2.Probe(addr, false)
 	block := m.l2.BlockOf(addr)
@@ -327,21 +452,32 @@ func (m *memSystem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 			if info, ok := m.tracked.Get(block); ok && info.prefetched {
 				info.prefetched = false
 				m.tracked.Put(block, info)
-				m.mstats.PrefetchUseful++
+				p.mstats.PrefetchUseful++
 			}
 		}
 		if m.hybrid != nil {
 			m.hybrid.OnAccess(addr, write, true, false)
 		}
-		m.fillL1(addr, write)
-		m.trainPrefetcher(block, now)
+		p.fillL1(addr, write)
+		p.trainPrefetcher(block, now)
 		return now + m.cfg.L1Lat + m.cfg.L2Lat, true
 	}
 	// L2 demand miss.
 	if f, ok := m.inflight.Get(block); ok {
 		// Merge into the in-flight miss (or claim an in-flight
 		// prefetch); completes with it.
-		m.mshr.Allocate(block, true, now)
+		if bit := uint64(1) << uint(p.tid); f.sharers&bit == 0 {
+			// Another core's miss is already fetching the block. This
+			// core still waits on DRAM, so it allocates a primary entry
+			// in its own MSHR — starting its own cost clock — and joins
+			// the fill's sharer set.
+			if p.mshr.Full() {
+				return 0, false
+			}
+			f.sharers |= bit
+			m.crossMerges++
+		}
+		p.mshr.Allocate(block, true, now)
 		f.write = f.write || write
 		if m.tr != nil {
 			m.tr.Emit(metrics.Event{Type: metrics.EventMissMerge, Addr: addr, Block: block})
@@ -353,9 +489,9 @@ func (m *memSystem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 				m.capture.OnL2Access(block, AccessMiss, 0)
 			}
 			f.prefetch = false
-			m.mstats.PrefetchLate++
-			m.mstats.DemandMisses++
-			m.noteSeen(block)
+			p.mstats.PrefetchLate++
+			p.mstats.DemandMisses++
+			p.noteSeen(block)
 			if m.hybrid != nil {
 				m.hybrid.OnAccess(addr, write, false, true)
 			}
@@ -363,18 +499,18 @@ func (m *memSystem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 			if m.capture != nil {
 				m.capture.OnL2Access(block, AccessMerge, 0)
 			}
-			m.mstats.MergedMisses++
+			p.mstats.MergedMisses++
 			if m.hybrid != nil {
 				m.hybrid.OnAccess(addr, write, false, false)
 			}
 		}
-		m.trainPrefetcher(block, now)
+		p.trainPrefetcher(block, now)
 		return f.done, true
 	}
-	if m.mshr.Full() {
+	if p.mshr.Full() {
 		return 0, false // structural stall; the core retries
 	}
-	m.mshr.Allocate(block, true, now)
+	p.mshr.Allocate(block, true, now)
 	if m.capture != nil {
 		m.capture.OnL2Access(block, AccessMiss, 0)
 	}
@@ -384,36 +520,61 @@ func (m *memSystem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 	if m.hybrid != nil {
 		m.hybrid.OnAccess(addr, write, false, true)
 	}
-	m.mstats.DemandMisses++
-	m.noteSeen(block)
+	p.mstats.DemandMisses++
+	p.noteSeen(block)
 	done := m.dramRead(block, now+m.cfg.L1Lat+m.cfg.L2Lat)
-	f := m.newFill(done, addr, write, false)
+	f := m.newFill(done, addr, write, false, p.tid)
 	m.inflight.Put(block, f)
 	m.fills.Push(f)
-	m.trainPrefetcher(block, now)
+	p.trainPrefetcher(block, now)
 	return done, true
 }
 
-// noteSeen records a demand miss on the block, counting it as
-// compulsory on the block's first-ever demand miss.
-func (m *memSystem) noteSeen(block uint64) {
-	info, _ := m.tracked.Get(block)
+// noteSeen records a demand miss on the block in the shared footprint
+// store, crediting the compulsory miss to the core that touched the
+// block first.
+func (p *corePort) noteSeen(block uint64) {
+	info, _ := p.m.tracked.Get(block)
 	if !info.seen {
 		info.seen = true
-		m.tracked.Put(block, info)
-		m.mstats.CompulsoryMisses++
+		p.m.tracked.Put(block, info)
+		p.mstats.CompulsoryMisses++
 	}
 }
 
-// Tick advances the memory side by one cycle: the MSHR cost calculation
-// logic runs (Algorithm 1), then any DRAM fills due this cycle install
-// into the hierarchy. A non-nil error reports an MSHR protocol violation
-// (simerr.ErrMSHRLeak) and aborts the run.
+// fillL1 installs the block into this core's L1, sinking any dirty
+// victim into the shared L2's dirty bit.
+func (p *corePort) fillL1(addr uint64, write bool) {
+	ev, evicted := p.l1.Fill(addr, 0, write)
+	if evicted && ev.Dirty {
+		if !p.m.l2.MarkDirty(ev.Block * p.l1.Config().BlockBytes) {
+			p.mstats.L1WritebackDrops++
+		}
+	}
+}
+
+// notePrefetchEvicted marks an evicted block's unused-prefetch status
+// resolved: a prefetched block leaving the cache untouched counts as an
+// unused prefetch, charged to the core whose fill evicted it.
+func (p *corePort) notePrefetchEvicted(block uint64) {
+	if info, ok := p.m.tracked.Get(block); ok && info.prefetched {
+		info.prefetched = false
+		p.m.tracked.Put(block, info)
+		p.mstats.PrefetchUnused++
+	}
+}
+
+// Tick advances the memory side by one cycle: every core's MSHR cost
+// clock runs (Algorithm 1, per thread), then any DRAM fills due this
+// cycle install into the hierarchy. A non-nil error reports an MSHR
+// protocol violation (simerr.ErrMSHRLeak) and aborts the run.
 func (m *memSystem) Tick(now uint64) error {
 	if m.tr != nil {
 		m.tr.now = now
 	}
-	m.mshr.Tick(now)
+	for i := range m.ports {
+		m.ports[i].mshr.Tick(now)
+	}
 	for m.fills.Len() > 0 && m.fills.Peek().done <= now {
 		f := m.fills.Pop()
 		if err := m.service(f, now); err != nil {
@@ -424,19 +585,39 @@ func (m *memSystem) Tick(now uint64) error {
 	return nil
 }
 
+// service completes one fill. The owning core's MSHR entry yields the
+// miss's mlp-cost — the thread-tagged cost the paper's accounting needs —
+// and feeds the owner's histogram plus the aggregate one. Every other
+// sharer frees its own entry too (its clock measured its own wait, which
+// already shaped the costs of that core's concurrent misses) but the
+// block's stored cost is the owner's. The block installs into the shared
+// L2 and the owner's L1; other sharers refetch from L2 on their next
+// touch.
 func (m *memSystem) service(f *fill, now uint64) error {
 	block := m.l2.BlockOf(f.addr)
 	m.inflight.Delete(block)
-	cost, err := m.mshr.Free(block, now)
+	p := &m.ports[f.owner]
+	if m.tr != nil {
+		m.tr.tid = f.owner
+	}
+	if m.sbar != nil {
+		m.sbar.SetThread(f.owner)
+	}
+	cost, err := p.mshr.Free(block, now)
 	if err != nil {
 		return err
+	}
+	for rest := f.sharers &^ (1 << uint(f.owner)); rest != 0; rest &= rest - 1 {
+		if _, err := m.ports[bits.TrailingZeros64(rest)].mshr.Free(block, now); err != nil {
+			return err
+		}
 	}
 
 	if f.prefetch {
 		// A pure prefetch fill: no demand miss to account, no cost.
 		ev, evicted := m.l2.Fill(f.addr, 0, false)
 		if evicted {
-			m.notePrefetchEvicted(ev.Block)
+			p.notePrefetchEvicted(ev.Block)
 			if ev.Dirty && m.cfg.ModelWritebacks {
 				m.dram.Write(ev.Block, now)
 			}
@@ -448,6 +629,10 @@ func (m *memSystem) service(f *fill, now uint64) error {
 	}
 
 	m.costHist.Add(cost)
+	if p.costHist != m.costHist {
+		p.costHist.Add(cost)
+	}
+	p.costSum += cost
 	if m.cfg.TrackDeltas {
 		info, _ := m.tracked.Get(block)
 		if info.hasCost {
@@ -475,14 +660,14 @@ func (m *memSystem) service(f *fill, now uint64) error {
 	if m.capture != nil {
 		m.capture.OnMissCost(block, costQ)
 	}
-	m.mstats.CostQSum += uint64(costQ)
+	p.mstats.CostQSum += uint64(costQ)
 	m.intMisses++
 	m.intCostQSum += uint64(costQ)
 
 	ev, evicted := m.l2.Fill(f.addr, costQ, false)
 	if evicted {
 		if m.pf != nil {
-			m.notePrefetchEvicted(ev.Block)
+			p.notePrefetchEvicted(ev.Block)
 		}
 		if ev.Dirty && m.cfg.ModelWritebacks {
 			m.dram.Write(ev.Block, now)
@@ -491,25 +676,63 @@ func (m *memSystem) service(f *fill, now uint64) error {
 	if m.hybrid != nil {
 		m.hybrid.OnFill(f.addr, costQ)
 	}
-	m.fillL1(f.addr, f.write)
+	p.fillL1(f.addr, f.write)
 	return nil
 }
 
-// fillL1 installs the block into the L1, sinking any dirty victim into
-// the L2's dirty bit.
-func (m *memSystem) fillL1(addr uint64, write bool) {
-	ev, evicted := m.l1.Fill(addr, 0, write)
-	if evicted && ev.Dirty {
-		if !m.l2.MarkDirty(ev.Block * m.l1.Config().BlockBytes) {
-			m.mstats.L1WritebackDrops++
+// memStats sums the cores' counters and stamps the footprint gauge from
+// the shared block store's current population.
+func (m *memSystem) memStats() MemStats {
+	var s MemStats
+	for i := range m.ports {
+		s.add(m.ports[i].mstats)
+	}
+	s.TrackedBlocks = uint64(m.tracked.Len())
+	return s
+}
+
+// mshrOccupancy returns the number of MSHR entries in use across cores.
+func (m *memSystem) mshrOccupancy() int {
+	n := 0
+	for i := range m.ports {
+		n += m.ports[i].mshr.Len()
+	}
+	return n
+}
+
+// sample closes one Figure 11 interval of Config.SampleInterval retired
+// instructions that took intCycles cycles, and resets the interval
+// accumulators.
+func (m *memSystem) sample(retired, intCycles uint64) {
+	ser := m.series
+	intInstr := m.cfg.SampleInterval
+	if intCycles > 0 {
+		ser.IPC.Add(retired, float64(intInstr)/float64(intCycles))
+	}
+	ser.MPKI.Add(retired, 1000*float64(m.intMisses)/float64(intInstr))
+	avg := 0.0
+	if m.intMisses > 0 {
+		avg = float64(m.intCostQSum) / float64(m.intMisses)
+	}
+	ser.AvgCostQ.Add(retired, avg)
+	if m.hybrid != nil {
+		v := 0.0
+		if m.hybrid.UsingLIN(1) {
+			v = 1.0
+		}
+		ser.UsingLIN.Add(retired, v)
+		if psel, ok := pselValueOf(m.hybrid); ok {
+			ser.PselValue.Add(retired, float64(psel))
 		}
 	}
+	ser.MSHROccupancy.Add(retired, float64(m.mshrOccupancy()))
+	m.intMisses, m.intCostQSum = 0, 0
 }
 
 // snapState carries the run totals at the previous snapshot boundary so
 // each snapshot.* gauge covers exactly one Config.SnapshotInterval. It
 // deliberately does not share the Figure 11 interval accumulators
-// (takeInterval): the two periods are independently configurable.
+// (sample): the two periods are independently configurable.
 type snapState struct {
 	retired uint64
 	cycle   uint64
@@ -524,10 +747,11 @@ type snapState struct {
 // Only called with a tracer attached, at snapshot-interval rate — the
 // histogram copy it takes is nowhere near the per-miss hot path.
 func (m *memSystem) emitSnapshot(now, retired uint64, s *snapState) {
+	tot := m.memStats()
 	dInstr := retired - s.retired
 	dCyc := now - s.cycle
-	dMiss := m.mstats.DemandMisses - s.misses
-	dCost := m.mstats.CostQSum - s.costQ
+	dMiss := tot.DemandMisses - s.misses
+	dCost := tot.CostQSum - s.costQ
 	var ipc, mpki, avg float64
 	if dCyc > 0 {
 		ipc = float64(dInstr) / float64(dCyc)
@@ -541,37 +765,11 @@ func (m *memSystem) emitSnapshot(now, retired uint64, s *snapState) {
 	m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotIPC, Gauge: ipc})
 	m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotMPKI, Gauge: mpki})
 	m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotAvgCostQ, Gauge: avg})
-	m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotMSHR, Gauge: float64(m.mshr.Len())})
+	m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotMSHR, Gauge: float64(m.mshrOccupancy())})
 	for i, c := range m.costHist.Bins() {
 		m.tr.Emit(metrics.Event{Type: metrics.EventSnapshotCostHist, Value: i, Gauge: float64(c)})
 	}
-	*s = snapState{retired: retired, cycle: now, misses: m.mstats.DemandMisses, costQ: m.mstats.CostQSum}
-}
-
-// takeInterval returns and resets the Figure 11 interval accumulators.
-func (m *memSystem) takeInterval() (misses, costQSum uint64) {
-	misses, costQSum = m.intMisses, m.intCostQSum
-	m.intMisses, m.intCostQSum = 0, 0
-	return misses, costQSum
-}
-
-// notePrefetchEvicted marks an evicted block's unused-prefetch status
-// resolved: a prefetched block leaving the cache untouched counts as an
-// unused prefetch.
-func (m *memSystem) notePrefetchEvicted(block uint64) {
-	if info, ok := m.tracked.Get(block); ok && info.prefetched {
-		info.prefetched = false
-		m.tracked.Put(block, info)
-		m.mstats.PrefetchUnused++
-	}
-}
-
-// statsSnapshot returns the lifetime counters with the footprint gauge
-// stamped from the block store's current population.
-func (m *memSystem) statsSnapshot() MemStats {
-	s := m.mstats
-	s.TrackedBlocks = uint64(m.tracked.Len())
-	return s
+	*s = snapState{retired: retired, cycle: now, misses: tot.DemandMisses, costQ: tot.CostQSum}
 }
 
 // drainInflight reports whether misses are still outstanding (used to let
@@ -585,4 +783,37 @@ func (m *memSystem) nextFill() uint64 {
 		return ^uint64(0)
 	}
 	return m.fills.Peek().done
+}
+
+// sourceErr returns the first deferred decode error a core's source
+// reports (the trace reader's Err method), or nil.
+func (m *memSystem) sourceErr() error {
+	for i := range m.ports {
+		if s, ok := m.ports[i].src.(interface{ Err() error }); ok {
+			if err := s.Err(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// finish ends a run whose result has been assembled: a source's decode
+// error wins, then the auditor's final pass fills *rep; a clean run
+// returns the machine's bulk components to the arena. Nothing released
+// there is reachable from a result (stats are copied by value,
+// histograms are never pooled).
+func (m *memSystem) finish(now uint64, rep **audit.Report) error {
+	if err := m.sourceErr(); err != nil {
+		return err
+	}
+	if m.auditor != nil {
+		m.auditor.CheckNow(now)
+		*rep = m.auditor.Report()
+		if err := (*rep).Err(); err != nil {
+			return err
+		}
+	}
+	m.cfg.Arena.release(m)
+	return nil
 }

@@ -86,15 +86,6 @@ func (r MultiResult) Metrics() *metrics.Registry {
 	// Learned eviction machinery (bandit/learned runs only).
 	observeLearn(reg, r.Learn)
 
-	// Parallel engine accounting (parallel runs only). All three are
-	// schedule-independent, so they survive the bit-identity contract.
-	if r.Parallel != nil {
-		p := r.Parallel
-		reg.Counter("sim.parallel.shared_ops", "operations", "shared-L2 operations committed in serial order").Add(p.SharedOps)
-		reg.Counter("sim.parallel.fill_waits", "barriers", "fill barriers where a core waited for the wavefront").Add(p.FillWaits)
-		reg.Counter("sim.parallel.tail_cycles", "cycles", "idle cycles attributed to parked cores at reduction").Add(p.TailCycles)
-	}
-
 	// Invariant auditor (audited runs only).
 	if r.Audit != nil {
 		reg.Counter("audit.checks", "passes", "completed auditor passes").Add(r.Audit.Checks)

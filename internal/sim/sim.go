@@ -10,7 +10,6 @@ import (
 	"mlpcache/internal/core"
 	"mlpcache/internal/cpu"
 	"mlpcache/internal/dram"
-	"mlpcache/internal/faultinject"
 	"mlpcache/internal/learn"
 	"mlpcache/internal/mshr"
 	"mlpcache/internal/simerr"
@@ -166,73 +165,94 @@ func Run(cfg Config, src trace.Source) (Result, error) {
 // yield simerr.ErrInvariant alongside the partial Result. Any panic
 // escaping the machine's internals is converted to a wrapped
 // simerr.ErrInternal rather than unwinding into the caller.
+//
+// The run is the one-core case of RunMultiContext: the same memory
+// system and cycle loop, with the single-core result assembled from its
+// only port.
 func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	defer recoverRun(&res, &err)
+	m, now, err := simulate(ctx, cfg, []trace.Source{src})
+	if err != nil {
+		return Result{}, err
+	}
+	p := &m.ports[0]
+	res = Result{
+		Policy:       cfg.Policy.String(),
+		Instructions: p.retired,
+		Cycles:       now,
+		CPU:          p.cpu.Stats(),
+		Bpred:        p.cpu.PredictorStats(),
+		L1:           p.l1.Stats(),
+		L2:           m.l2.Stats(),
+		DRAM:         m.dram.Stats(),
+		Mem:          m.memStats(),
+		MSHR:         p.mshr.Stats(),
+		CostHist:     m.costHist,
+		Delta:        m.delta,
+		Series:       m.series,
+	}
+	if now > 0 {
+		res.IPC = float64(p.retired) / float64(now)
+	}
+	if m.hybrid != nil {
+		hs := statsOf(m.hybrid)
+		res.Hybrid = &hs
+	}
+	res.Learn = learnStatsOf(m.l2.Policy())
+	err = m.finish(now, &res.Audit)
+	return res, err
+}
+
+// recoverRun converts a panic escaping the machine's internals into a
+// wrapped simerr.ErrInternal with a zero result. Both run entry points
+// defer it.
+func recoverRun[R any](res *R, err *error) {
+	if r := recover(); r != nil {
+		var zero R
+		*res = zero
+		if e, ok := r.(error); ok {
+			*err = simerr.Wrap(simerr.ErrInternal, e, "sim: panic during run")
+		} else {
+			*err = simerr.New(simerr.ErrInternal, "sim: panic during run: %v", r)
+		}
+	}
+}
+
+// simulate builds the machine for one source per core under a validated
+// cfg and drives the cycle loop to completion. It returns the machine and
+// the final cycle for the caller to assemble its result from.
+func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem, uint64, error) {
 	done := ctx.Done()
 	if done != nil {
 		select {
 		case <-done:
-			return Result{}, simerr.Wrap(simerr.ErrCancelled, ctx.Err(), "sim: run cancelled before start")
+			return nil, 0, simerr.Wrap(simerr.ErrCancelled, ctx.Err(), "sim: run cancelled before start")
 		default:
 		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{}
-			if e, ok := r.(error); ok {
-				err = simerr.Wrap(simerr.ErrInternal, e, "sim: panic during run")
-			} else {
-				err = simerr.New(simerr.ErrInternal, "sim: panic during run: %v", r)
-			}
-		}
-	}()
-	orig := src
-	if cfg.MaxInstructions > 0 {
-		src = trace.NewLimit(src, int(cfg.MaxInstructions))
 	}
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		if cfg.MaxInstructions > 0 {
 			// Generous guard: even a pure chain of isolated misses
-			// retires one instruction per ~460 cycles.
-			maxCycles = cfg.MaxInstructions*2048 + 1_000_000
+			// retires one instruction per ~460 cycles, and contention
+			// can serialize the cores' miss chains, so each core gets
+			// the full allowance.
+			maxCycles = uint64(len(srcs))*cfg.MaxInstructions*2048 + 1_000_000
 		} else {
 			maxCycles = 1 << 40
 		}
 	}
-
-	l2, hybrid, err := buildL2(cfg, 1)
+	m, err := newMemSystem(cfg, srcs)
 	if err != nil {
-		return Result{}, err
-	}
-	var inj *faultinject.Injector
-	if cfg.Faults != nil && cfg.Faults.Active() {
-		inj = faultinject.NewInjector(*cfg.Faults)
-	}
-	mem := newMemSystem(cfg, l2, hybrid, inj)
-	c := cfg.Arena.getCPU(cfg.CPU, mem, src)
-	var auditor *audit.Auditor
-	if cfg.Audit {
-		auditor = buildAuditor(cfg, mem, hybrid)
-	}
-
-	var ser *SeriesSet
-	if cfg.SampleInterval > 0 {
-		ser = &SeriesSet{
-			AvgCostQ:      stats.Series{Name: "avg-costq-per-miss"},
-			MPKI:          stats.Series{Name: "mpki"},
-			IPC:           stats.Series{Name: "ipc"},
-			UsingLIN:      stats.Series{Name: "lin-selected"},
-			PselValue:     stats.Series{Name: "psel-value"},
-			MSHROccupancy: stats.Series{Name: "mshr-occupancy"},
-		}
+		return nil, 0, err
 	}
 
 	var (
 		now         uint64
-		retired     uint64
+		retired     uint64 // total across cores
 		nextSample  = cfg.SampleInterval
 		sampleCycle uint64
 		nextEpoch   = cfg.EpochInstructions
@@ -244,132 +264,92 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 		// cannot be cancelled (context.Background().Done() is nil).
 		nextCancel = ^uint64(0)
 	)
-	if cfg.SnapshotInterval > 0 && mem.tr != nil {
+	if cfg.SnapshotInterval > 0 && m.tr != nil {
 		nextSnap = cfg.SnapshotInterval
 	}
 	if done != nil {
 		nextCancel = cancelCheckCycles
 	}
+	// Each cycle: the memory side ticks, then every core runs in index
+	// order, then the run-level instruments (fault throttle, auditor,
+	// series, snapshots, epochs) observe the cycle's retirement.
 	for now = 1; now <= maxCycles; now++ {
 		if now >= nextCancel {
 			select {
 			case <-done:
-				return Result{}, simerr.Wrap(simerr.ErrCancelled, ctx.Err(),
+				return nil, 0, simerr.Wrap(simerr.ErrCancelled, ctx.Err(),
 					fmt.Sprintf("sim: run cancelled at cycle %d", now))
 			default:
 			}
 			nextCancel = now + cancelCheckCycles
 		}
-		if err := mem.Tick(now); err != nil {
-			return Result{}, err
+		if err := m.Tick(now); err != nil {
+			return nil, 0, err
 		}
-		retired += uint64(c.Cycle(now))
-		if capacity, due := inj.ThrottleDue(retired); due {
-			if err := mem.mshr.SetCapacity(capacity); err != nil {
-				return Result{}, err
-			}
+		anyWork := false
+		for i := range m.ports {
+			p := &m.ports[i]
+			n := uint64(p.cpu.Cycle(now))
+			p.retired += n
+			retired += n
+			anyWork = anyWork || p.cpu.DidWork()
 		}
-		if auditor != nil {
-			auditor.MaybeCheck(now)
-		}
-
-		if ser != nil && retired >= nextSample {
-			misses, costQSum := mem.takeInterval()
-			intInstr := cfg.SampleInterval
-			intCycles := now - sampleCycle
-			if intCycles > 0 {
-				ser.IPC.Add(retired, float64(intInstr)/float64(intCycles))
-			}
-			ser.MPKI.Add(retired, 1000*float64(misses)/float64(intInstr))
-			avg := 0.0
-			if misses > 0 {
-				avg = float64(costQSum) / float64(misses)
-			}
-			ser.AvgCostQ.Add(retired, avg)
-			if hybrid != nil {
-				v := 0.0
-				if hybrid.UsingLIN(1) {
-					v = 1.0
-				}
-				ser.UsingLIN.Add(retired, v)
-				if psel, ok := pselValueOf(hybrid); ok {
-					ser.PselValue.Add(retired, float64(psel))
+		if capacity, due := m.inj.ThrottleDue(retired); due {
+			for i := range m.ports {
+				if err := m.ports[i].mshr.SetCapacity(capacity); err != nil {
+					return nil, 0, err
 				}
 			}
-			ser.MSHROccupancy.Add(retired, float64(mem.mshr.Len()))
+		}
+		if m.auditor != nil {
+			m.auditor.MaybeCheck(now)
+		}
+		if m.series != nil && retired >= nextSample {
+			m.sample(retired, now-sampleCycle)
 			sampleCycle = now
 			nextSample += cfg.SampleInterval
 		}
 		if retired >= nextSnap {
-			mem.emitSnapshot(now, retired, &snap)
+			m.emitSnapshot(now, retired, &snap)
 			nextSnap += cfg.SnapshotInterval
 		}
-		if hybrid != nil && cfg.EpochInstructions > 0 && retired >= nextEpoch {
-			hybrid.AdvanceEpoch()
+		if m.hybrid != nil && cfg.EpochInstructions > 0 && retired >= nextEpoch {
+			m.hybrid.AdvanceEpoch()
 			nextEpoch += cfg.EpochInstructions
 		}
-		if c.Finished() && !mem.drainInflight() {
+		allDone := true
+		for i := range m.ports {
+			if !m.ports[i].cpu.Finished() {
+				allDone = false
+				break
+			}
+		}
+		if allDone && !m.drainInflight() {
 			break
 		}
-		// Fast-forward through stall cycles: when the core made no
-		// progress this cycle, nothing can change until its next
-		// completion event or the next DRAM fill.
-		if !c.DidWork() && !cfg.DisableFastForward {
-			wake := c.NextEvent(now)
-			if nf := mem.nextFill(); nf < wake {
-				wake = nf
+		// Fast-forward through stall cycles: when no core made progress
+		// this cycle, nothing can change until the earliest completion
+		// event across the cores or the next DRAM fill. The skip is
+		// global, so every core is credited the same idle span.
+		if !anyWork && !cfg.DisableFastForward {
+			wake := m.nextFill()
+			for i := range m.ports {
+				if w := m.ports[i].cpu.NextEvent(now); w < wake {
+					wake = w
+				}
 			}
 			if wake == ^uint64(0) {
 				break // wedged: nothing in flight, nothing to do
 			}
 			if wake > now+1 {
-				c.NoteSkipped(wake - now - 1)
+				for i := range m.ports {
+					m.ports[i].cpu.NoteSkipped(wake - now - 1)
+				}
 				now = wake - 1
 			}
 		}
 	}
-
-	res = Result{
-		Policy:       cfg.Policy.String(),
-		Instructions: retired,
-		Cycles:       now,
-		CPU:          c.Stats(),
-		Bpred:        c.PredictorStats(),
-		L1:           mem.l1.Stats(),
-		L2:           mem.l2.Stats(),
-		DRAM:         mem.dram.Stats(),
-		Mem:          mem.statsSnapshot(),
-		MSHR:         mem.mshr.Stats(),
-		CostHist:     mem.costHist,
-		Delta:        mem.delta,
-		Series:       ser,
-	}
-	if now > 0 {
-		res.IPC = float64(retired) / float64(now)
-	}
-	if hybrid != nil {
-		hs := statsOf(hybrid)
-		res.Hybrid = &hs
-	}
-	res.Learn = learnStatsOf(l2.Policy())
-	if s, ok := orig.(interface{ Err() error }); ok {
-		if err := s.Err(); err != nil {
-			return res, err
-		}
-	}
-	if auditor != nil {
-		auditor.CheckNow(now)
-		res.Audit = auditor.Report()
-		if err := res.Audit.Err(); err != nil {
-			return res, err
-		}
-	}
-	// The result is fully assembled (stats copied by value, histograms
-	// kept — the arena never pools them), so the machine's bulk
-	// components can go back to the pool for the next run.
-	cfg.Arena.release(mem)
-	cfg.Arena.putCPUs(c)
-	return res, nil
+	return m, now, nil
 }
 
 func statsOf(h core.Hybrid) core.HybridStats {
