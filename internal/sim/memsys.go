@@ -135,14 +135,17 @@ func (d *DeltaStats) add(delta float64) {
 
 // fill is a pending DRAM→L2 fill. owner is the core whose access issued
 // the primary miss (or the prefetch); sharers is the bitmask of cores
-// with an MSHR entry waiting on the block, owner's bit included.
+// with an MSHR entry waiting on the block, owner's bit included. owner
+// is a byte (MaxCores is 64) so the struct stays 32 bytes: a 40-byte
+// fill lands in the 48-byte size class, where half the objects straddle
+// a cache line and the miss path's fill writes become split stores.
 type fill struct {
 	done     uint64
 	addr     uint64
+	sharers  uint64
+	owner    uint8
 	write    bool // a store touched the block while the miss was in flight
 	prefetch bool // still a pure prefetch (no demand access merged)
-	owner    int
-	sharers  uint64
 }
 
 // blockInfo is the per-block record in the memory system's flat
@@ -384,7 +387,7 @@ func (m *memSystem) newFill(done, addr uint64, write, prefetch bool, owner int) 
 	} else {
 		f = new(fill)
 	}
-	*f = fill{done: done, addr: addr, write: write, prefetch: prefetch, owner: owner, sharers: 1 << uint(owner)}
+	*f = fill{done: done, addr: addr, write: write, prefetch: prefetch, owner: uint8(owner), sharers: 1 << uint(owner)}
 	return f
 }
 
@@ -596,18 +599,19 @@ func (m *memSystem) Tick(now uint64) error {
 func (m *memSystem) service(f *fill, now uint64) error {
 	block := m.l2.BlockOf(f.addr)
 	m.inflight.Delete(block)
-	p := &m.ports[f.owner]
+	owner := int(f.owner)
+	p := &m.ports[owner]
 	if m.tr != nil {
-		m.tr.tid = f.owner
+		m.tr.tid = owner
 	}
 	if m.sbar != nil {
-		m.sbar.SetThread(f.owner)
+		m.sbar.SetThread(owner)
 	}
 	cost, err := p.mshr.Free(block, now)
 	if err != nil {
 		return err
 	}
-	for rest := f.sharers &^ (1 << uint(f.owner)); rest != 0; rest &= rest - 1 {
+	for rest := f.sharers &^ (1 << uint(owner)); rest != 0; rest &= rest - 1 {
 		if _, err := m.ports[bits.TrailingZeros64(rest)].mshr.Free(block, now); err != nil {
 			return err
 		}
@@ -799,21 +803,22 @@ func (m *memSystem) sourceErr() error {
 }
 
 // finish ends a run whose result has been assembled: a source's decode
-// error wins, then the auditor's final pass fills *rep; a clean run
-// returns the machine's bulk components to the arena. Nothing released
-// there is reachable from a result (stats are copied by value,
-// histograms are never pooled).
-func (m *memSystem) finish(now uint64, rep **audit.Report) error {
+// error wins, then the auditor's final pass yields the audit report (nil
+// for an unaudited run); a clean run returns the machine's bulk
+// components to the arena. Nothing released there is reachable from a
+// result (stats are copied by value, histograms are never pooled).
+func (m *memSystem) finish(now uint64) (*audit.Report, error) {
 	if err := m.sourceErr(); err != nil {
-		return err
+		return nil, err
 	}
+	var rep *audit.Report
 	if m.auditor != nil {
 		m.auditor.CheckNow(now)
-		*rep = m.auditor.Report()
-		if err := (*rep).Err(); err != nil {
-			return err
+		rep = m.auditor.Report()
+		if err := rep.Err(); err != nil {
+			return rep, err
 		}
 	}
 	m.cfg.Arena.release(m)
-	return nil
+	return rep, nil
 }

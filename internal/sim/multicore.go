@@ -251,6 +251,6 @@ func RunMultiContext(ctx context.Context, cfg Config, srcs ...trace.Source) (res
 		}
 	}
 	res.Learn = learnStatsOf(m.l2.Policy())
-	err = m.finish(now, &res.Audit)
+	res.Audit, err = m.finish(now)
 	return res, err
 }

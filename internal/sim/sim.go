@@ -202,7 +202,7 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 		res.Hybrid = &hs
 	}
 	res.Learn = learnStatsOf(m.l2.Policy())
-	err = m.finish(now, &res.Audit)
+	res.Audit, err = m.finish(now)
 	return res, err
 }
 
