@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
 
@@ -95,5 +96,31 @@ func TestArenaSharedAcrossConfigs(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("interleaved arena runs diverge on iteration %d", i)
 		}
+	}
+}
+
+// TestWarmRunAllocations pins what a warm-arena single-core run
+// allocates, source build included: a 200k-instruction LRU run over a
+// 128-block stream that never leaves the L1 (the bench l1-resident
+// shape). Everything the core needs per run, its fetch buffer among
+// them, must come back with the arena-pooled core rather than be built
+// again.
+func TestWarmRunAllocations(t *testing.T) {
+	const want = 14
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 200_000
+	cfg.Policy = PolicySpec{Kind: PolicyLRU}
+	cfg.Arena = NewArena()
+	run := func() {
+		src := trace.NewStream(trace.StreamConfig{
+			Blocks: 128, Gap: 6, Touches: 2, FPFrac: 0.3, Mispredict: 0.02, Stores: 0.3, Seed: 42,
+		})
+		if _, err := Run(cfg, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pools
+	if got := testing.AllocsPerRun(3, run); got != want {
+		t.Fatalf("warm-arena run allocates %v times, want %d", got, want)
 	}
 }
