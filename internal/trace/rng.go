@@ -39,7 +39,17 @@ func (r *RNG) Float64() float64 {
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+	return r.PermInto(make([]int, n), n)
+}
+
+// PermInto is Perm written into buf, which is reallocated only when
+// shorter than n, and drawing exactly what Perm(n) draws. It returns the
+// permutation.
+func (r *RNG) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	p := buf[:n]
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]

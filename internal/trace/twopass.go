@@ -38,10 +38,13 @@ type TwoPassConfig struct {
 
 type twoPass struct {
 	queued
-	cfg       TwoPassConfig
-	rng       *RNG
-	nextFresh int
-	pending   [][]int // segment queue awaiting their second pass
+	cfg TwoPassConfig
+	rng *RNG
+	// segs counts the chase segments emitted. Segment k covers blocks
+	// [k·SegBlocks, (k+1)·SegBlocks), so the segment due for its revisit
+	// follows from the count alone.
+	segs  int
+	order []int // the revisit burst's visit order, reused every refill
 }
 
 // NewTwoPass returns the visit-twice generator described above.
@@ -72,25 +75,23 @@ func (t *twoPass) addr(blk int) uint64 {
 // both passes contiguous (chase misses stay isolated).
 func (t *twoPass) fill(buf []Instr) []Instr {
 	// First pass: a dependent chase over fresh blocks.
-	seg := make([]int, t.cfg.SegBlocks)
-	for i := range seg {
-		seg[i] = t.nextFresh
-		t.nextFresh++
-		a := t.addr(seg[i])
+	first := t.segs * t.cfg.SegBlocks
+	for blk := first; blk < first+t.cfg.SegBlocks; blk++ {
+		a := t.addr(blk)
 		buf = append(buf, Instr{Kind: Load, Addr: a, Dep: int32(t.cfg.ChaseGap+t.cfg.Touches) + 1})
 		buf = sameBlockTouches(buf, a, t.cfg.Touches)
 		buf = fillerRun(buf, t.cfg.ChaseGap, t.rng, t.cfg.FPFrac, 0)
 	}
-	t.pending = append(t.pending, seg)
-	if len(t.pending) <= t.cfg.LagSegs {
+	t.segs++
+	if t.segs <= t.cfg.LagSegs {
 		return buf
 	}
-	// Second pass: independent loads, shuffled so the revisit is not a
-	// recognizable stride.
-	old := t.pending[0]
-	t.pending = t.pending[1:]
-	for _, i := range t.rng.Perm(len(old)) {
-		a := t.addr(old[i])
+	// Second pass over the segment LagSegs back: independent loads,
+	// shuffled so the revisit is not a recognizable stride.
+	old := (t.segs - 1 - t.cfg.LagSegs) * t.cfg.SegBlocks
+	t.order = t.rng.PermInto(t.order, t.cfg.SegBlocks)
+	for _, i := range t.order {
+		a := t.addr(old + i)
 		buf = append(buf, Instr{Kind: Load, Addr: a})
 		buf = sameBlockTouches(buf, a, t.cfg.Touches)
 		buf = fillerRun(buf, t.cfg.BurstGap, t.rng, t.cfg.FPFrac, 0)
