@@ -30,10 +30,13 @@ race:
 # Short deterministic-ish fuzz smoke over the binary codecs: every
 # decoder (instruction traces, mlpcache.events/v2 event streams, and
 # mlpcache.model/v1 learned-model files) must survive arbitrary bytes,
-# and encode→decode must round-trip.
+# and encode→decode must round-trip. FuzzReadBatch holds the batched
+# Mix/Phases/Limit path to the per-instruction reference interleavers
+# under random trees and draw schedules.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceDecode -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime 5s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzReadBatch -fuzztime 5s
 	$(GO) test ./internal/metrics/ -run '^$$' -fuzz FuzzEventsV2Decode -fuzztime 5s
 	$(GO) test ./internal/learn/ -run '^$$' -fuzz FuzzModelDecode -fuzztime 5s
 

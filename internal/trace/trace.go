@@ -73,6 +73,32 @@ type Source interface {
 	Next() (Instr, bool)
 }
 
+// Batcher is implemented by sources that can produce a run of
+// instructions in one call, sparing the simulator's fetch stage a call
+// per instruction. NextBatch fills buf from the front and returns how
+// many instructions it wrote: fewer than len(buf) only at end of stream.
+// Next and NextBatch draw from the same stream and may be interleaved.
+type Batcher interface {
+	NextBatch(buf []Instr) int
+}
+
+// ReadBatch fills buf from src and returns how many instructions it
+// wrote, fewer than len(buf) only at end of stream. A source without
+// NextBatch is read one Next call at a time.
+func ReadBatch(src Source, buf []Instr) int {
+	if b, ok := src.(Batcher); ok {
+		return b.NextBatch(buf)
+	}
+	for i := range buf {
+		in, ok := src.Next()
+		if !ok {
+			return i
+		}
+		buf[i] = in
+	}
+	return len(buf)
+}
+
 // SliceSource replays a fixed slice of instructions once.
 type SliceSource struct {
 	instrs []Instr
@@ -133,6 +159,19 @@ func (l *Limit) Next() (Instr, bool) {
 	}
 	l.left--
 	return in, true
+}
+
+// NextBatch reads at most the remaining allowance from the wrapped
+// source, so a Limit never draws past its n.
+func (l *Limit) NextBatch(buf []Instr) int {
+	want := min(len(buf), max(l.left, 0))
+	n := ReadBatch(l.src, buf[:want])
+	if n < want {
+		l.left = 0
+	} else {
+		l.left -= n
+	}
+	return n
 }
 
 // Concat yields every instruction of each source in turn.
