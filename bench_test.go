@@ -574,20 +574,26 @@ func BenchmarkOracleHeadroom(b *testing.B) {
 	b.ReportMetric(cmp.CostHeadroomPct(), "cost-headroom-%")
 }
 
-// BenchmarkGeneratorThroughput measures trace generation speed alone.
-// Each op draws a fixed batch from one mcf generator, so a -benchtime 1x
-// sample times a whole batch rather than a single Next call.
+// BenchmarkGeneratorThroughput measures trace generation speed alone,
+// through the path the simulator's fetch stage uses: trace.ReadBatch in
+// batches the size of the core's fetch buffer. Each op draws a fixed
+// 100k instructions from one mcf generator, so a -benchtime 1x sample
+// times a whole op rather than a single call.
 func BenchmarkGeneratorThroughput(b *testing.B) {
-	const batch = 100_000
+	const (
+		perOp      = 100_000
+		fetchBatch = 256 // internal/cpu's fetch buffer
+	)
 	spec, _ := workload.ByName("mcf")
 	src := spec.Build(1)
+	buf := make([]trace.Instr, fetchBatch)
 	ref := startThroughput(b)
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < batch; j++ {
-			src.Next()
+		for left := perOp; left > 0; left -= len(buf) {
+			trace.ReadBatch(src, buf[:min(left, len(buf))])
 		}
 	}
-	reportThroughput(b, float64(batch)*float64(b.N), ref)
+	reportThroughput(b, float64(perOp)*float64(b.N), ref)
 }
 
 // BenchmarkTraceEncode measures the binary trace encoder.
