@@ -18,14 +18,21 @@ const goldenCyclesFile = "testdata/golden_cycles.json"
 
 // randMem is a memory system with random latencies (zero included) and
 // bursts of MSHR rejections, deterministic in its seed and the order of
-// the core's accesses.
+// the core's accesses. Each accepted access draws its latency uniformly
+// from lats.
 type randMem struct {
 	rng      *trace.RNG
+	lats     []uint64
 	burst    int // rejections left in the current burst
 	accesses uint64
 }
 
 var randLatencies = []uint64{0, 0, 1, 2, 3, 5, 12, 40, 150, 400}
+
+// edgeLatencies sit on both sides of 64 and 128 cycles, where any
+// scheduling structure keyed on a cycle number modulo a power of two
+// wraps, with zero, one and a far-off 500 around them.
+var edgeLatencies = []uint64{0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 130, 500}
 
 func (m *randMem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 	if m.burst == 0 && m.rng.Bool(0.04) {
@@ -36,7 +43,7 @@ func (m *randMem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 		return 0, false
 	}
 	m.accesses++
-	return now + randLatencies[m.rng.Intn(len(randLatencies))], true
+	return now + m.lats[m.rng.Intn(len(m.lats))], true
 }
 
 // randProgram returns n instructions of all seven kinds with dependence
@@ -65,7 +72,8 @@ func randProgram(seed uint64, n int) []trace.Instr {
 	return ins
 }
 
-// goldenConfigs are the corner configurations the cycle table covers.
+// goldenConfigs are the corner configurations the cycle table covers
+// against a memory drawing from randLatencies.
 func goldenConfigs() map[string]Config {
 	cfgs := map[string]Config{"default": DefaultConfig()}
 	small := DefaultConfig()
@@ -90,12 +98,38 @@ func goldenConfigs() map[string]Config {
 	return cfgs
 }
 
+// edgeConfigs are the configurations the cycle table covers against a
+// memory drawing from edgeLatencies: functional-unit latencies on both
+// sides of 64 and 128 cycles, zero-latency integer ops, and windows of
+// one bitmap word and of four words with the last one partly used.
+func edgeConfigs() map[string]Config {
+	cfgs := map[string]Config{"edge-default": DefaultConfig()}
+	for _, lat := range []uint64{63, 64, 65, 127, 128} {
+		cfg := DefaultConfig()
+		cfg.IntLat, cfg.MulLat, cfg.FPLat, cfg.DivLat = lat, lat, lat, lat
+		cfgs[fmt.Sprintf("edge-lat%d", lat)] = cfg
+	}
+	zero := DefaultConfig()
+	zero.IntLat = 0
+	cfgs["edge-intlat0"] = zero
+	for _, rob := range []int{64, 200} {
+		cfg := DefaultConfig()
+		cfg.ROBEntries = rob
+		cfgs[fmt.Sprintf("edge-rob%d", rob)] = cfg
+	}
+	mixed := DefaultConfig()
+	mixed.ROBEntries = 200
+	mixed.IntLat, mixed.MulLat, mixed.FPLat, mixed.DivLat = 0, 63, 64, 65
+	cfgs["edge-mixed"] = mixed
+	return cfgs
+}
+
 // traceCycles drives a core over prog cycle by cycle and digests every
 // cycle's (cycle, retired, DidWork, NextEvent) and the final Stats. With
 // skip set it fast-forwards idle cycles the way the run loops do.
-func traceCycles(t *testing.T, cfg Config, prog []trace.Instr, memSeed uint64, skip bool) (string, Stats) {
+func traceCycles(t *testing.T, cfg Config, prog []trace.Instr, lats []uint64, memSeed uint64, skip bool) (string, Stats) {
 	t.Helper()
-	mem := &randMem{rng: trace.NewRNG(memSeed)}
+	mem := &randMem{rng: trace.NewRNG(memSeed), lats: lats}
 	c := New(cfg, mem, trace.NewSliceSource(prog))
 	h := fnv.New64a()
 	for now := uint64(1); ; now++ {
@@ -119,22 +153,23 @@ func traceCycles(t *testing.T, cfg Config, prog []trace.Instr, memSeed uint64, s
 }
 
 // TestGoldenCycles pins the core's cycle-level behaviour on seeded random
-// programs across the corner configurations: what retires each cycle,
-// whether the cycle counts as work, the next event it reports, and the
-// final counters. Any change to the issue logic that is not a pure
-// speed-up shows here. Regenerate after a deliberate behaviour change with
+// programs across the corner and edge configurations: what retires each
+// cycle, whether the cycle counts as work, the next event it reports,
+// and the final counters. Any change to the issue logic that is not a
+// pure speed-up shows here. Regenerate after a deliberate behaviour
+// change with
 //
 //	go test ./internal/cpu -run TestGoldenCycles -update-golden
 func TestGoldenCycles(t *testing.T) {
 	got := map[string]string{}
 	var total Stats
-	for name, cfg := range goldenConfigs() {
-		for seed := uint64(1); seed <= 3; seed++ {
+	record := func(name string, cfg Config, lats []uint64, seeds uint64) {
+		for seed := uint64(1); seed <= seeds; seed++ {
 			prog := randProgram(seed, 20_000)
 			for _, skip := range []bool{false, true} {
 				key := fmt.Sprintf("%s/seed%d/skip=%t", name, seed, skip)
 				var st Stats
-				got[key], st = traceCycles(t, cfg, prog, seed*977, skip)
+				got[key], st = traceCycles(t, cfg, prog, lats, seed*977, skip)
 				total.MSHRRejects += st.MSHRRejects
 				total.StoreBufferFullEvents += st.StoreBufferFullEvents
 				total.Mispredicts += st.Mispredicts
@@ -142,6 +177,12 @@ func TestGoldenCycles(t *testing.T) {
 				total.FullWindowCycles += st.FullWindowCycles
 			}
 		}
+	}
+	for name, cfg := range goldenConfigs() {
+		record(name, cfg, randLatencies, 3)
+	}
+	for name, cfg := range edgeConfigs() {
+		record(name, cfg, edgeLatencies, 2)
 	}
 	// The table is only as good as the paths it reaches.
 	if total.MSHRRejects == 0 || total.StoreBufferFullEvents == 0 || total.Mispredicts == 0 ||
