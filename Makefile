@@ -44,14 +44,19 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke runs the observability, tracing, oracle, multi-core,
-# learned-eviction and arena benchmarks once each and
-# fails if any stops being selected — a renamed or deleted benchmark
-# silently vanishes from `go test -bench`, so the output is grepped for
-# each name.
+# learned-eviction and arena benchmarks, and the core's per-layer
+# BenchmarkWindow, once each and fails if any stops being selected — a
+# renamed or deleted benchmark silently vanishes from `go test -bench`,
+# so the output is grepped for each name.
 bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
 	for name in BenchmarkObservability BenchmarkTracingV2 BenchmarkOracleHeadroom BenchmarkMulticoreThroughput BenchmarkLearnedEviction BenchmarkArenaReuse; do \
+		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
+	done
+	@out="$$($(GO) test -bench 'BenchmarkWindow' -benchtime 1x -run '^$$' ./internal/cpu)"; \
+	echo "$$out"; \
+	for name in BenchmarkWindow/resident BenchmarkWindow/chase; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 

@@ -18,6 +18,9 @@
 // visits only the ready entries, oldest first, through a one-bit-per-slot
 // ready bitmap. A window stalled on a few chase loads behind completed
 // filler therefore costs nothing per stepped cycle beyond the wake-ups.
+// Completions due within 63 cycles, all but the DRAM fills, wait on a
+// completion wheel: one slot bitmap per cycle modulo 64, so scheduling
+// a result and waking it are a bit each. Later ones wait in a min-heap.
 package cpu
 
 import (
@@ -141,6 +144,12 @@ type robEntry struct {
 
 const noBranch = ^uint64(0)
 
+// wheelSize is the completion wheel's span in cycles: one bucket per
+// cycle modulo wheelSize, and one bit of wheelMask per bucket. A
+// completion due less than wheelSize cycles after the cycle that issues
+// it goes on the wheel; a later one goes on the far heap.
+const wheelSize = 64
+
 // fetchBatch is how many instructions one source read supplies: fetch
 // pops from a buffer of this size and refills it with one
 // trace.ReadBatch call when it runs dry.
@@ -174,21 +183,30 @@ type CPU struct {
 
 	predictor *bpred.Predictor
 
-	// events holds the completions still in flight: entries whose doneAt
-	// lies after the last cycle run. They wake their consumers when that
-	// cycle arrives, and the earliest one bounds a run loop's skip.
-	events  completionHeap
-	didWork bool
+	// The completions still in flight are the entries whose doneAt lies
+	// after lastNow, the last cycle run. They wake their consumers when
+	// that cycle arrives, and the earliest one bounds a run loop's skip.
+	// One due at most wheelSize-1 cycles out sets its slot's bit in the
+	// wheel bucket for doneAt mod wheelSize (len(ready) words per bucket,
+	// bucket b at wheel[b*len(ready):]), and wheelMask has bit b set
+	// while bucket b is non-empty. Every wheel entry lies within
+	// wheelSize-1 cycles after lastNow, so no bucket holds two cycles.
+	// Completions due later wait in far.
+	wheel     []uint64
+	wheelMask uint64
+	far       completionHeap
+	lastNow   uint64
+	didWork   bool
 
 	inMemStall bool
 	stats      Stats
 }
 
-// completion is an in-flight result: the ROB slot that produces it and
-// the cycle it becomes available. The slot cannot be refilled before the
-// completion pops: retiring the entry needs doneAt <= now, and the same
-// cycle's issue stage pops every such completion before fetch reuses a
-// slot.
+// completion is an in-flight result on the far heap: the ROB slot that
+// produces it and the cycle it becomes available. A slot cannot be
+// refilled while its completion is in flight, on the wheel or the heap:
+// retiring the entry needs doneAt <= now, and the same cycle's issue
+// stage wakes every such completion before fetch reuses a slot.
 type completion struct {
 	at   uint64
 	slot int
@@ -252,6 +270,7 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 		fetched:  make([]trace.Instr, 0, fetchBatch),
 		rob:      make([]robEntry, cfg.ROBEntries),
 		ready:    make([]uint64, readyWords(cfg.ROBEntries)),
+		wheel:    make([]uint64, wheelSize*readyWords(cfg.ROBEntries)),
 		blockedG: noBranch,
 	}
 	if cfg.BranchPredictor != nil {
@@ -263,11 +282,13 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 func readyWords(robEntries int) int { return (robEntries + 63) / 64 }
 
 // Reset returns the core to just-built state executing src against mem,
-// recycling the fetch buffer, ROB ring, ready bitmap, store buffer and
-// completion-heap backings — the arena's reuse contract. Stale ROB
-// entries are safe to keep: fetch fully overwrites a slot before any
-// stage reads it. A configured branch predictor is rebuilt fresh (its
-// tables are run state).
+// recycling the fetch buffer, ROB ring, ready bitmap, completion wheel,
+// store buffer and far-heap backings — the arena's reuse contract. The
+// ring, bitmap and wheel are rebuilt only when the window size changes;
+// the bitmap and wheel are cleared, since a run cut short by its budget
+// leaves completions on the wheel. Stale ROB entries are safe to keep:
+// fetch fully overwrites a slot before any stage reads it. A configured
+// branch predictor is rebuilt fresh (its tables are run state).
 func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -275,12 +296,14 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if mem == nil || src == nil {
 		panic(simerr.New(simerr.ErrBadConfig, "cpu: need a memory system and a source"))
 	}
-	rob, ready := c.rob, c.ready
+	rob, ready, wheel := c.rob, c.ready, c.wheel
 	if len(rob) != cfg.ROBEntries {
 		rob = make([]robEntry, cfg.ROBEntries)
 		ready = make([]uint64, readyWords(cfg.ROBEntries))
+		wheel = make([]uint64, wheelSize*len(ready))
 	}
 	clear(ready)
+	clear(wheel)
 	var pred *bpred.Predictor
 	if cfg.BranchPredictor != nil {
 		pred = bpred.New(*cfg.BranchPredictor)
@@ -292,9 +315,10 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 		fetched:   c.fetched[:0],
 		rob:       rob,
 		ready:     ready,
+		wheel:     wheel,
 		blockedG:  noBranch,
 		storeDone: c.storeDone[:0],
-		events:    c.events[:0],
+		far:       c.far[:0],
 		predictor: pred,
 	}
 }
@@ -409,11 +433,17 @@ func (c *CPU) DidWork() bool { return c.didWork }
 // which core-visible state can change: a pending completion, a store
 // buffer drain, or a fetch redirect. It returns ^uint64(0) if no such
 // event is scheduled. now is the cycle last passed to Cycle, which left
-// only completions after now in flight.
+// only completions after now in flight. The earliest completion is the
+// first non-empty wheel bucket after that cycle, found with one rotate
+// of wheelMask, or the far heap's top if that comes first.
 func (c *CPU) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
-	if len(c.events) > 0 {
-		next = c.events[0].at
+	if c.wheelMask != 0 {
+		from := c.lastNow + 1
+		next = from + uint64(bits.TrailingZeros64(bits.RotateLeft64(c.wheelMask, -int(from%wheelSize))))
+	}
+	if len(c.far) > 0 && c.far[0].at < next {
+		next = c.far[0].at
 	}
 	if c.blockedG != noBranch && c.resumeAt > now && c.resumeAt < next {
 		next = c.resumeAt
@@ -480,17 +510,41 @@ func (c *CPU) drainStores(now uint64) {
 	c.storeDone = out
 }
 
+// wakeDue wakes the consumers of every completion due by now: the wheel
+// buckets of the cycles in (lastNow, now], all of them after a skip of
+// wheelSize cycles or more, then the far completions that have arrived.
+// Wake order does not matter, since a wake only sets ready bits.
+func (c *CPU) wakeDue(now uint64) {
+	if due := c.wheelMask; due != 0 {
+		if span := now - c.lastNow; span < wheelSize {
+			due &= bits.RotateLeft64(1<<span-1, int((c.lastNow+1)%wheelSize))
+		}
+		c.wheelMask &^= due
+		for ; due != 0; due &= due - 1 {
+			bucket := c.wheel[bits.TrailingZeros64(due)*len(c.ready):][:len(c.ready)]
+			for i, w := range bucket {
+				bucket[i] = 0
+				for ; w != 0; w &= w - 1 {
+					c.wake(i<<6 | bits.TrailingZeros64(w))
+				}
+			}
+		}
+	}
+	c.lastNow = now
+	for len(c.far) > 0 && c.far[0].at <= now {
+		s := c.far[0].slot
+		c.far.pop()
+		c.wake(s)
+	}
+}
+
 // issue wakes the consumers of every completion that has arrived, then
 // tries the ready entries oldest first: from the head to the end of the
 // ring, then the wrap-around. An entry that cannot issue this cycle (no
 // memory port, a full store buffer, an MSHR rejection) stays ready and
 // is retried on a later cycle.
 func (c *CPU) issue(now uint64) {
-	for len(c.events) > 0 && c.events[0].at <= now {
-		s := c.events[0].slot
-		c.events.pop()
-		c.wake(s)
-	}
+	c.wakeDue(now)
 	issued, memIssued := 0, 0
 	// base+s is the global index of slot s within the current segment.
 	lo, hi, base := c.head, len(c.rob), c.headG-uint64(c.head)
@@ -569,16 +623,24 @@ func (c *CPU) issue(now uint64) {
 // complete issues the entry in slot s with its result available at
 // doneAt. A result available already (zero latency) wakes the consumers
 // at once, so younger entries still to be visited in this scan see it.
+// A later one goes on the wheel, or on the far heap when it is due
+// wheelSize or more cycles out; now is lastNow here, as issue has run
+// wakeDue.
 func (c *CPU) complete(s int, doneAt, now uint64) {
 	e := &c.rob[s]
 	e.state = stDone
 	e.doneAt = doneAt
 	c.clearReady(s)
 	c.didWork = true
-	if doneAt <= now {
+	switch {
+	case doneAt <= now:
 		c.wake(s)
-	} else {
-		c.events.push(completion{at: doneAt, slot: s})
+	case doneAt-now < wheelSize:
+		b := int(doneAt % wheelSize)
+		c.wheel[b*len(c.ready)+s>>6] |= 1 << (s & 63)
+		c.wheelMask |= 1 << b
+	default:
+		c.far.push(completion{at: doneAt, slot: s})
 	}
 }
 
@@ -623,7 +685,16 @@ func (c *CPU) fetch(now uint64) {
 		in := c.fetched[c.fetchPos]
 		c.fetchPos++
 		mispredicted := in.Kind == trace.Branch && c.branchMispredicted(in)
-		c.rob[slot] = robEntry{in: in, state: stWaiting, mispredicted: mispredicted, firstConsumer: -1, nextConsumer: -1}
+		// Field by field: a composite literal is built on the stack and
+		// copied in with wide loads that span its narrower stores, which
+		// defeats store-to-load forwarding.
+		e := &c.rob[slot]
+		e.in = in
+		e.doneAt = 0
+		e.state = stWaiting
+		e.mispredicted = mispredicted
+		e.firstConsumer = -1
+		e.nextConsumer = -1
 		g := c.nextG
 		c.count++
 		c.link(slot, g, now)

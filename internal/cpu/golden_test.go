@@ -126,11 +126,16 @@ func edgeConfigs() map[string]Config {
 
 // traceCycles drives a core over prog cycle by cycle and digests every
 // cycle's (cycle, retired, DidWork, NextEvent) and the final Stats. With
-// skip set it fast-forwards idle cycles the way the run loops do.
-func traceCycles(t *testing.T, cfg Config, prog []trace.Instr, lats []uint64, memSeed uint64, skip bool) (string, Stats) {
+// skip set it fast-forwards idle cycles the way the run loops do. The
+// core is c after a Reset, or a new one when c is nil.
+func traceCycles(t *testing.T, c *CPU, cfg Config, prog []trace.Instr, lats []uint64, memSeed uint64, skip bool) (string, Stats) {
 	t.Helper()
 	mem := &randMem{rng: trace.NewRNG(memSeed), lats: lats}
-	c := New(cfg, mem, trace.NewSliceSource(prog))
+	if c == nil {
+		c = New(cfg, mem, trace.NewSliceSource(prog))
+	} else {
+		c.Reset(cfg, mem, trace.NewSliceSource(prog))
+	}
 	h := fnv.New64a()
 	for now := uint64(1); ; now++ {
 		if now > 50*uint64(len(prog))+10_000 {
@@ -169,7 +174,7 @@ func TestGoldenCycles(t *testing.T) {
 			for _, skip := range []bool{false, true} {
 				key := fmt.Sprintf("%s/seed%d/skip=%t", name, seed, skip)
 				var st Stats
-				got[key], st = traceCycles(t, cfg, prog, lats, seed*977, skip)
+				got[key], st = traceCycles(t, nil, cfg, prog, lats, seed*977, skip)
 				total.MSHRRejects += st.MSHRRejects
 				total.StoreBufferFullEvents += st.StoreBufferFullEvents
 				total.Mispredicts += st.Mispredicts
@@ -216,6 +221,31 @@ func TestGoldenCycles(t *testing.T) {
 	for key, d := range got {
 		if want[key] != d {
 			t.Errorf("%s: digest %s, golden %s", key, d, want[key])
+		}
+	}
+}
+
+// TestResetMidRun stops a core with completions in flight on the wheel
+// and on the far heap, resets it for a window of the same or another
+// size, and checks that the rerun matches a new core cycle for cycle.
+func TestResetMidRun(t *testing.T) {
+	prog := randProgram(4, 5_000)
+	for _, rob := range []int{16, 128, 200} {
+		cfg := DefaultConfig()
+		cfg.ROBEntries = rob
+		want, _ := traceCycles(t, nil, cfg, prog, edgeLatencies, 5, true)
+		for _, stop := range []uint64{100, 1_000, 5_000} {
+			mem := &randMem{rng: trace.NewRNG(stop), lats: edgeLatencies}
+			c := New(DefaultConfig(), mem, trace.NewSliceSource(randProgram(stop, 20_000)))
+			for now := uint64(1); now < stop || inFlight(c) < 8 || len(c.far) == 0; now++ {
+				if c.Finished() {
+					t.Fatal("the core finished before holding wheel and far completions at once")
+				}
+				c.Cycle(now)
+			}
+			if got, _ := traceCycles(t, c, cfg, prog, edgeLatencies, 5, true); got != want {
+				t.Errorf("ROB %d, stopped after cycle %d: reset core digests %s, new core %s", rob, stop, got, want)
+			}
 		}
 	}
 }

@@ -145,9 +145,9 @@ func (a *Arena) getMSHR(cfg mshr.Config) *mshr.MSHR {
 
 // getCPU returns a core model executing src against mem, reusing a
 // pooled one when available. Any pooled core serves any configuration:
-// cpu.Reset reallocates the ROB ring only when its length changes and
-// recycles the store-buffer and event-heap backings, which carry no
-// observable state.
+// cpu.Reset reallocates the ROB ring, ready bitmap and completion wheel
+// only when the window size changes and recycles the store-buffer and
+// far-heap backings, which carry no observable state.
 func (a *Arena) getCPU(cfg cpu.Config, mem cpu.MemSystem, src trace.Source) *cpu.CPU {
 	if a == nil {
 		return cpu.New(cfg, mem, src)

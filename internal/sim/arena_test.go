@@ -65,8 +65,10 @@ func TestArenaRunsBitIdentical(t *testing.T) {
 }
 
 // TestArenaSharedAcrossConfigs exercises geometry matching: runs with a
-// different L2 shape must not reuse the mismatched cache, and the arena
-// must keep runs correct when configurations interleave.
+// different L2 shape must not reuse the mismatched cache, a pooled core
+// must resize its window (ROB ring, ready bitmap and completion wheel)
+// for a run with another window size, and the arena must keep runs
+// correct when configurations interleave.
 func TestArenaSharedAcrossConfigs(t *testing.T) {
 	mcf, _ := workload.ByName("mcf")
 	arena := NewArena()
@@ -78,23 +80,32 @@ func TestArenaSharedAcrossConfigs(t *testing.T) {
 	big := small
 	big.L2.SizeBytes = small.L2.SizeBytes * 2
 
-	cold := small
-	cold.Arena = nil
+	rob16, rob200 := small, small
+	rob16.CPU.ROBEntries = 16
+	rob200.CPU.ROBEntries = 200
 
-	want, err := Run(cold, mcf.Build(11))
-	if err != nil {
-		t.Fatalf("cold run failed: %v", err)
+	checked := []Config{small, rob16, rob200}
+	want := make([]Result, len(checked))
+	for i, cfg := range checked {
+		cfg.Arena = nil
+		r, err := Run(cfg, mcf.Build(11))
+		if err != nil {
+			t.Fatalf("cold run (ROB %d) failed: %v", cfg.CPU.ROBEntries, err)
+		}
+		want[i] = r
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := Run(big, mcf.Build(uint64(20+i))); err != nil {
 			t.Fatalf("big run failed: %v", err)
 		}
-		got, err := Run(small, mcf.Build(11))
-		if err != nil {
-			t.Fatalf("small run failed: %v", err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interleaved arena runs diverge on iteration %d", i)
+		for j, cfg := range checked {
+			got, err := Run(cfg, mcf.Build(11))
+			if err != nil {
+				t.Fatalf("run (ROB %d) failed: %v", cfg.CPU.ROBEntries, err)
+			}
+			if !reflect.DeepEqual(got, want[j]) {
+				t.Fatalf("interleaved arena runs (ROB %d) diverge on iteration %d", cfg.CPU.ROBEntries, i)
+			}
 		}
 	}
 }

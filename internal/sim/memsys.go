@@ -387,7 +387,15 @@ func (m *memSystem) newFill(done, addr uint64, write, prefetch bool, owner int) 
 	} else {
 		f = new(fill)
 	}
-	*f = fill{done: done, addr: addr, write: write, prefetch: prefetch, owner: uint8(owner), sharers: 1 << uint(owner)}
+	// Field by field: a composite literal is built on the stack and
+	// copied in with wide loads that span its narrower stores, which
+	// defeats store-to-load forwarding.
+	f.done = done
+	f.addr = addr
+	f.sharers = 1 << uint(owner)
+	f.owner = uint8(owner)
+	f.write = write
+	f.prefetch = prefetch
 	return f
 }
 
