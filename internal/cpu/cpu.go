@@ -285,8 +285,8 @@ func readyWords(robEntries int) int { return (robEntries + 63) / 64 }
 // recycling the fetch buffer, ROB ring, ready bitmap, completion wheel,
 // store buffer and far-heap backings — the arena's reuse contract. The
 // ring, bitmap and wheel are rebuilt only when the window size changes;
-// the bitmap and wheel are cleared, since a run cut short by its budget
-// leaves completions on the wheel. Stale ROB entries are safe to keep:
+// the bitmap and wheel are cleared, since a run stopped before the core
+// drains leaves bits in both. Stale ROB entries are safe to keep:
 // fetch fully overwrites a slot before any stage reads it. A configured
 // branch predictor is rebuilt fresh (its tables are run state).
 func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {

@@ -234,12 +234,12 @@ func TestResetMidRun(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ROBEntries = rob
 		want, _ := traceCycles(t, nil, cfg, prog, edgeLatencies, 5, true)
-		for _, stop := range []uint64{100, 1_000, 5_000} {
+		for _, stop := range []uint64{100, 500, 1_000, 2_000, 3_000, 5_000} {
 			mem := &randMem{rng: trace.NewRNG(stop), lats: edgeLatencies}
 			c := New(DefaultConfig(), mem, trace.NewSliceSource(randProgram(stop, 20_000)))
-			for now := uint64(1); now < stop || inFlight(c) < 8 || len(c.far) == 0; now++ {
+			for now := uint64(1); now < stop || inFlight(c)-len(c.far) < 8 || len(c.far) == 0; now++ {
 				if c.Finished() {
-					t.Fatal("the core finished before holding wheel and far completions at once")
+					t.Fatal("the core finished before holding 8 wheel and 1 far completions at once")
 				}
 				c.Cycle(now)
 			}
