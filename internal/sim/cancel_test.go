@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mlpcache/internal/metrics"
 	"mlpcache/internal/simerr"
 )
 
@@ -82,19 +83,22 @@ func TestRunMultiCancellation(t *testing.T) {
 }
 
 // TestRunMultiPanicIsInternalError injects a panic into the miss path of
-// a four-core run (via MissHook, which runs as a fill is serviced) and
-// requires the run to surface ErrInternal instead of unwinding into the
-// caller.
+// a four-core run (via a tracer's miss.fill event, emitted as a fill is
+// serviced) and requires the run to surface ErrInternal instead of
+// unwinding into the caller.
 func TestRunMultiPanicIsInternalError(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInstructions = 200_000
-	hooked := 0
-	cfg.MissHook = func(addr uint64, costQ uint8) {
-		hooked++
-		if hooked == 100 {
+	fills := 0
+	cfg.Trace = metrics.FuncTracer(func(ev metrics.Event) {
+		if ev.Type != metrics.EventMissFill {
+			return
+		}
+		fills++
+		if fills == 100 {
 			panic("injected fault")
 		}
-	}
+	})
 	res, err := RunMulti(cfg, mixSources([]string{"mcf", "art"}, 4)...)
 	if !errors.Is(err, simerr.ErrInternal) {
 		t.Fatalf("want ErrInternal, got %v", err)

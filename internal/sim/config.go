@@ -192,14 +192,6 @@ type Config struct {
 	// EpochInstructions is the rand-dynamic leader reselection period
 	// (the paper uses 25M; scaled runs use less). 0 disables epochs.
 	EpochInstructions uint64
-	// ModelWritebacks sends dirty L2 evictions to DRAM, consuming bank
-	// and bus bandwidth.
-	ModelWritebacks bool
-	// TrackDeltas enables the Table 1 per-block delta statistics.
-	TrackDeltas bool
-	// MissHook, when set, observes every serviced L2 miss (instrumentation
-	// for workload analysis and tests).
-	MissHook func(addr uint64, costQ uint8)
 	// Capture, when non-nil, receives every L2 demand access (hit,
 	// primary miss, merge) with its quantized mlp-cost — the stream
 	// internal/oracle replays offline under Belady-style policies. A nil
@@ -314,13 +306,11 @@ func DefaultConfig() Config {
 			Assoc:      16,
 			BlockBytes: 64,
 		},
-		MSHR:            mshr.Config{Entries: 32},
-		DRAM:            dram.Default(),
-		L1Lat:           2,
-		L2Lat:           15,
-		Policy:          PolicySpec{Kind: PolicyLRU},
-		ModelWritebacks: true,
-		TrackDeltas:     true,
+		MSHR:   mshr.Config{Entries: 32},
+		DRAM:   dram.Default(),
+		L1Lat:  2,
+		L2Lat:  15,
+		Policy: PolicySpec{Kind: PolicyLRU},
 	}
 }
 

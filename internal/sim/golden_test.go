@@ -144,8 +144,8 @@ func (r *accessRecorder) OnMissCost(block uint64, costQ uint8) {
 // featureCases pins each optional single-core feature of the memory
 // system and run loop: prefetching, fault injection, access capture,
 // the Figure 11 series, snapshot emission through the v2 tracer, an
-// audited rand-dynamic SBAR run with epochs, the time-shared MSHR adders
-// and the MissHook call sequence. Cases whose feature has a side output
+// audited rand-dynamic SBAR run with epochs and the time-shared MSHR
+// adders. Cases whose feature has a side output
 // digest it next to the Result.
 func featureCases() []goldenCase {
 	build := func(name string) trace.Source {
@@ -221,20 +221,6 @@ func featureCases() []goldenCase {
 			cfg := base(lin, 100_000)
 			cfg.MSHR.Adders = 2
 			return Run(cfg, build("mcf"))
-		}},
-		{"feature/misshook", func() (any, error) {
-			type miss struct {
-				Addr  uint64
-				CostQ uint8
-			}
-			var log []miss
-			cfg := base(sbar, 100_000)
-			cfg.MissHook = func(addr uint64, costQ uint8) { log = append(log, miss{addr, costQ}) }
-			res, err := Run(cfg, build("mcf"))
-			return struct {
-				Res Result
-				Log []miss
-			}{res, log}, err
 		}},
 	}
 }

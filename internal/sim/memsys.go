@@ -630,7 +630,7 @@ func (m *memSystem) service(f *fill, now uint64) error {
 		ev, evicted := m.l2.Fill(f.addr, 0, false)
 		if evicted {
 			p.notePrefetchEvicted(ev.Block)
-			if ev.Dirty && m.cfg.ModelWritebacks {
+			if ev.Dirty {
 				m.dram.Write(ev.Block, now)
 			}
 		}
@@ -645,19 +645,17 @@ func (m *memSystem) service(f *fill, now uint64) error {
 		p.costHist.Add(cost)
 	}
 	p.costSum += cost
-	if m.cfg.TrackDeltas {
-		info, _ := m.tracked.Get(block)
-		if info.hasCost {
-			d := cost - info.lastCost
-			if d < 0 {
-				d = -d
-			}
-			m.delta.add(d)
+	info, _ := m.tracked.Get(block)
+	if info.hasCost {
+		d := cost - info.lastCost
+		if d < 0 {
+			d = -d
 		}
-		info.hasCost = true
-		info.lastCost = cost
-		m.tracked.Put(block, info)
+		m.delta.add(d)
 	}
+	info.hasCost = true
+	info.lastCost = cost
+	m.tracked.Put(block, info)
 
 	costQ := core.Quantize(cost)
 	if m.tr != nil {
@@ -665,9 +663,6 @@ func (m *memSystem) service(f *fill, now uint64) error {
 			Type: metrics.EventMissFill, Addr: f.addr, Block: block,
 			Cost: cost, CostQ: int(costQ),
 		})
-	}
-	if m.cfg.MissHook != nil {
-		m.cfg.MissHook(f.addr, costQ)
 	}
 	if m.capture != nil {
 		m.capture.OnMissCost(block, costQ)
@@ -681,7 +676,7 @@ func (m *memSystem) service(f *fill, now uint64) error {
 		if m.pf != nil {
 			p.notePrefetchEvicted(ev.Block)
 		}
-		if ev.Dirty && m.cfg.ModelWritebacks {
+		if ev.Dirty {
 			m.dram.Write(ev.Block, now)
 		}
 	}

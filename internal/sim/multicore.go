@@ -200,7 +200,7 @@ func RunMulti(cfg Config, srcs ...trace.Source) (MultiResult, error) {
 //
 // Multi-core runs reject prefetching, access capture, fault injection
 // and the interval/snapshot series (validateMulti); everything else —
-// tracing, auditing, epochs, MissHook — carries over.
+// tracing, auditing, epochs — carries over.
 func RunMultiContext(ctx context.Context, cfg Config, srcs ...trace.Source) (res MultiResult, err error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiResult{}, err

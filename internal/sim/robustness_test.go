@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mlpcache/internal/faultinject"
+	"mlpcache/internal/metrics"
 	"mlpcache/internal/simerr"
 	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
@@ -244,13 +245,16 @@ func TestSourceErrPropagates(t *testing.T) {
 	}
 }
 
-// The recover boundary: a panicking hook inside the machine must come
-// back as a wrapped ErrInternal, not unwind into the caller.
+// The recover boundary: a tracer panicking on the first serviced miss
+// inside the machine must come back as a wrapped ErrInternal, not
+// unwind into the caller.
 func TestPanicConvertsToErrInternal(t *testing.T) {
 	cfg := smallConfig(10_000)
-	cfg.MissHook = func(addr uint64, costQ uint8) {
-		panic("hook exploded")
-	}
+	cfg.Trace = metrics.FuncTracer(func(ev metrics.Event) {
+		if ev.Type == metrics.EventMissFill {
+			panic("tracer exploded")
+		}
+	})
 	_, err := Run(cfg, microMix(2))
 	if !errors.Is(err, simerr.ErrInternal) {
 		t.Fatalf("panic not converted: %v", err)

@@ -256,16 +256,6 @@ func TestWritebacksReachDRAM(t *testing.T) {
 	}
 }
 
-func TestMissHook(t *testing.T) {
-	var hooked uint64
-	cfg := smallConfig(50_000)
-	cfg.MissHook = func(addr uint64, costQ uint8) { hooked++ }
-	res := MustRun(cfg, microMix(9))
-	if hooked != res.Mem.DemandMisses {
-		t.Fatalf("hook saw %d misses, result says %d", hooked, res.Mem.DemandMisses)
-	}
-}
-
 func TestCAREPolicies(t *testing.T) {
 	// BCL and DCL plug in as L2 policies; on the LIN-friendly mix they
 	// must at least not catastrophically regress against LRU, and on a
