@@ -82,11 +82,6 @@ type Table1Row struct {
 	PaperMean              float64 // 0 when the paper value did not survive
 }
 
-// HighDelta reports whether the benchmark falls in the paper's
-// "unpredictable cost" class (majority of deltas at or above 60 cycles or
-// a large mean), which is where LIN degrades performance.
-func (r Table1Row) HighDelta() bool { return r.Lt60 < 50 || r.Mean >= 100 }
-
 // Table1 reproduces Table 1.
 func Table1(r *Runner) Table1Result {
 	var out Table1Result

@@ -318,26 +318,6 @@ func (r *Runner) putArena(a *sim.Arena) {
 	r.arenaMu.Unlock()
 }
 
-// ArenaStats sums recycling counters across the runner's arena pool;
-// mlpexp reports them after a suite so the reuse rate is visible.
-func (r *Runner) ArenaStats() sim.ArenaStats {
-	r.arenaMu.Lock()
-	defer r.arenaMu.Unlock()
-	var total sim.ArenaStats
-	for _, a := range r.arenas {
-		s := a.Stats()
-		total.CacheReuses += s.CacheReuses
-		total.CacheBuilds += s.CacheBuilds
-		total.MSHRReuses += s.MSHRReuses
-		total.MSHRBuilds += s.MSHRBuilds
-		total.CPUReuses += s.CPUReuses
-		total.CPUBuilds += s.CPUBuilds
-		total.TableReuses += s.TableReuses
-		total.TableBuilds += s.TableBuilds
-	}
-	return total
-}
-
 // bufTracer collects one concurrent run's events for contiguous replay.
 type bufTracer struct{ events []metrics.Event }
 

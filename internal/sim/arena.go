@@ -4,7 +4,6 @@ import (
 	"mlpcache/internal/blockmap"
 	"mlpcache/internal/cache"
 	"mlpcache/internal/cpu"
-	"mlpcache/internal/metrics"
 	"mlpcache/internal/mshr"
 	"mlpcache/internal/trace"
 )
@@ -25,7 +24,8 @@ const arenaPoolCap = 128
 // Recycled components are reset to their just-built state on reuse
 // (cache.Reset, mshr.Reset, blockmap.Reset), so arena-backed runs are
 // bit-identical to cold ones — TestArenaRunsBitIdentical holds single-
-// and multi-core runs to that. Result histograms and policy state are
+// and multi-core runs to that, and TestWarmRunAllocations pins that a
+// warm run draws every component from the pools. Result histograms and policy state are
 // never pooled: results alias them after the run returns (the experiment
 // cache memoizes Results), so the arena only touches objects the memory
 // system owns outright.
@@ -49,45 +49,11 @@ type Arena struct {
 	// fits in it. release clears it first, so it pins no component or
 	// instruction source between runs.
 	ports []corePort
-
-	stats ArenaStats
 }
 
 // NewArena returns an empty arena. The zero value is not usable; a nil
 // Config.Arena simply disables pooling.
 func NewArena() *Arena { return &Arena{} }
-
-// ArenaStats counts component reuse across an arena's lifetime,
-// exported to the metrics registry as the arena.* family.
-type ArenaStats struct {
-	// CacheReuses and CacheBuilds split cache acquisitions into pool
-	// hits and cold constructions; likewise for MSHR files and blockmap
-	// tables (the in-flight and footprint stores).
-	CacheReuses uint64
-	CacheBuilds uint64
-	MSHRReuses  uint64
-	MSHRBuilds  uint64
-	CPUReuses   uint64
-	CPUBuilds   uint64
-	TableReuses uint64
-	TableBuilds uint64
-}
-
-// Stats returns the arena's lifetime reuse accounting.
-func (a *Arena) Stats() ArenaStats { return a.stats }
-
-// Observe registers the counters in the metrics registry as the arena.*
-// family (catalogued in docs/OBSERVABILITY.md).
-func (s ArenaStats) Observe(reg *metrics.Registry) {
-	reg.Counter("arena.cache.reuses", "caches", "caches drawn from the pool").Add(s.CacheReuses)
-	reg.Counter("arena.cache.builds", "caches", "caches built cold").Add(s.CacheBuilds)
-	reg.Counter("arena.mshr.reuses", "files", "MSHR files drawn from the pool").Add(s.MSHRReuses)
-	reg.Counter("arena.mshr.builds", "files", "MSHR files built cold").Add(s.MSHRBuilds)
-	reg.Counter("arena.cpu.reuses", "cores", "core models drawn from the pool").Add(s.CPUReuses)
-	reg.Counter("arena.cpu.builds", "cores", "core models built cold").Add(s.CPUBuilds)
-	reg.Counter("arena.table.reuses", "tables", "blockmap tables drawn from the pool").Add(s.TableReuses)
-	reg.Counter("arena.table.builds", "tables", "blockmap tables built cold").Add(s.TableBuilds)
-}
 
 // getCache returns a cache with the requested geometry and policy,
 // reusing a pooled one when its resolved geometry matches. Custom
@@ -114,11 +80,9 @@ func (a *Arena) getCache(cfg cache.Config, policy cache.Policy) *cache.Cache {
 			a.caches[len(a.caches)-1] = nil
 			a.caches = a.caches[:len(a.caches)-1]
 			c.Reset(policy)
-			a.stats.CacheReuses++
 			return c
 		}
 	}
-	a.stats.CacheBuilds++
 	return cache.New(cfg, policy)
 }
 
@@ -135,11 +99,9 @@ func (a *Arena) getMSHR(cfg mshr.Config) *mshr.MSHR {
 			a.mshrs[len(a.mshrs)-1] = nil
 			a.mshrs = a.mshrs[:len(a.mshrs)-1]
 			m.Reset()
-			a.stats.MSHRReuses++
 			return m
 		}
 	}
-	a.stats.MSHRBuilds++
 	return mshr.New(cfg)
 }
 
@@ -157,10 +119,8 @@ func (a *Arena) getCPU(cfg cpu.Config, mem cpu.MemSystem, src trace.Source) *cpu
 		a.cpus[n-1] = nil
 		a.cpus = a.cpus[:n-1]
 		c.Reset(cfg, mem, src)
-		a.stats.CPUReuses++
 		return c
 	}
-	a.stats.CPUBuilds++
 	return cpu.New(cfg, mem, src)
 }
 
@@ -177,10 +137,8 @@ func (a *Arena) getInflightTable(expected int) *blockmap.Table[*fill] {
 		a.inflight[n-1] = nil
 		a.inflight = a.inflight[:n-1]
 		t.Reset()
-		a.stats.TableReuses++
 		return t
 	}
-	a.stats.TableBuilds++
 	return blockmap.New[*fill](expected)
 }
 
@@ -193,10 +151,8 @@ func (a *Arena) getTrackedTable(expected int) *blockmap.Table[blockInfo] {
 		a.tracked[n-1] = nil
 		a.tracked = a.tracked[:n-1]
 		t.Reset()
-		a.stats.TableReuses++
 		return t
 	}
-	a.stats.TableBuilds++
 	return blockmap.New[blockInfo](expected)
 }
 
