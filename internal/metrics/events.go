@@ -69,7 +69,8 @@ func (t EventType) IsSnapshot() bool { return strings.HasPrefix(string(t), "snap
 // eventIDs registers each event type's one-byte mlpcache.events/v2
 // record ID alongside its dotted name. IDs are append-only wire
 // contract: never renumber or reuse one (docs/OBSERVABILITY.md keeps
-// the matching table, and observability_test.go pins both directions).
+// the matching table, and the root TestDocContracts pins both
+// directions).
 var eventIDs = map[EventType]byte{
 	EventMissIssue:        1,
 	EventMissMerge:        2,

@@ -6,11 +6,8 @@
 //     comment anchors the code to the paper with at least one
 //     "Section N" / "Figure N" / "Table N" / "Algorithm N" reference,
 //     so godoc always says which part of the paper a package models.
-//     Additionally, every `learn.*` metric registered in internal/sim
-//     must be catalogued (backticked) in docs/LEARNED.md and
-//     docs/OBSERVABILITY.md, and every `arena.*` metric in
-//     docs/OBSERVABILITY.md, so those metric families cannot grow
-//     undocumented names.
+//     (The docs/ catalogs are checked against the code by the root
+//     package's TestDocContracts, not here.)
 //   - -stdout: no CLI sends telemetry to stdout. Reports belong on
 //     stdout; metric and event JSONL documents belong in files (the
 //     docs/OBSERVABILITY.md contract), so passing os.Stdout to
@@ -50,7 +47,6 @@ func main() {
 	var problems []string
 	if *docs {
 		problems = append(problems, checkDocs()...)
-		problems = append(problems, checkLearnMetricsDocumented()...)
 	}
 	if *stdout {
 		problems = append(problems, checkStdout()...)
@@ -141,99 +137,6 @@ func checkDocs() []string {
 		case strings.HasPrefix(dir, "internal"+string(filepath.Separator)) && !anchorRE.MatchString(doc):
 			problems = append(problems, fmt.Sprintf(
 				"%s: package comment cites no paper anchor (Section/Figure/Table/Algorithm N)", dir))
-		}
-	}
-	return problems
-}
-
-// metricDocRules maps a registered metric-name prefix to the docs that
-// must catalogue (backtick) every name carrying it: the learned family
-// is documented twice (its own guide plus the catalog); the arena
-// recycling family lives in the catalog alone.
-var metricDocRules = []struct {
-	prefix string
-	docs   []string
-}{
-	{"learn.", []string{"LEARNED.md", "OBSERVABILITY.md"}},
-	{"arena.", []string{"OBSERVABILITY.md"}},
-}
-
-// checkLearnMetricsDocumented collects every string-literal metric name
-// matching a metricDocRules prefix passed to a Counter/Gauge
-// registration inside internal/sim and requires each to appear
-// backticked in that prefix's required docs. (The contract tests check
-// the emitted set at runtime; this check catches a new registration at
-// lint time, before any simulation runs.)
-func checkLearnMetricsDocumented() []string {
-	var problems []string
-	registrars := map[string]bool{"Counter": true, "Gauge": true}
-	names := map[string]token.Position{}
-	err := filepath.WalkDir(filepath.Join("internal", "sim"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		fset := token.NewFileSet()
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !registrars[sel.Sel.Name] {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name := strings.Trim(lit.Value, "`\"")
-			for _, rule := range metricDocRules {
-				if strings.HasPrefix(name, rule.prefix) {
-					names[name] = fset.Position(lit.Pos())
-					break
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		return []string{fmt.Sprintf("lint: %v", err)}
-	}
-	bodies := map[string]string{}
-	for _, rule := range metricDocRules {
-		for _, doc := range rule.docs {
-			if _, ok := bodies[doc]; ok {
-				continue
-			}
-			raw, err := os.ReadFile(filepath.Join("docs", doc))
-			if err != nil {
-				return []string{fmt.Sprintf("lint: %v", err)}
-			}
-			bodies[doc] = string(raw)
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for name := range names {
-		sorted = append(sorted, name)
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		for _, rule := range metricDocRules {
-			if !strings.HasPrefix(name, rule.prefix) {
-				continue
-			}
-			for _, doc := range rule.docs {
-				if !strings.Contains(bodies[doc], "`"+name+"`") {
-					problems = append(problems, fmt.Sprintf(
-						"%s: metric %q is not catalogued in docs/%s", names[name], name, doc))
-				}
-			}
-			break
 		}
 	}
 	return problems
