@@ -84,9 +84,6 @@ type PolicySpec struct {
 	// policy; empty selects an untrained default model (which behaves
 	// exactly like LRU). Only valid with Kind == PolicyLearned.
 	ModelPath string
-	// Model injects an in-memory model for the learned policy, taking
-	// precedence over ModelPath. Only valid with Kind == PolicyLearned.
-	Model *learn.Model
 }
 
 // String renders a short label ("lin4", "sbar/32").
@@ -175,8 +172,6 @@ type Config struct {
 
 	// MaxInstructions bounds the run (0: until the source drains).
 	MaxInstructions uint64
-	// MaxCycles is a deadlock guard (0: derived from MaxInstructions).
-	MaxCycles uint64
 	// SampleInterval, when non-zero, records the Figure 11 time series
 	// every that many retired instructions.
 	SampleInterval uint64
@@ -275,7 +270,7 @@ func (c Config) Validate() error {
 	if spec.LeaderSets < 0 {
 		return simerr.New(simerr.ErrBadConfig, "sim: policy LeaderSets must be non-negative, got %d", spec.LeaderSets)
 	}
-	if (spec.ModelPath != "" || spec.Model != nil) && spec.Kind != PolicyLearned {
+	if spec.ModelPath != "" && spec.Kind != PolicyLearned {
 		return simerr.New(simerr.ErrBadConfig, "sim: a learned model only drives -policy learned, not %q", spec.Kind)
 	}
 	switch spec.Kind {
@@ -371,15 +366,14 @@ func buildL2(cfg Config, threads int) (*cache.Cache, core.Hybrid, error) {
 		l2.SetPolicy(learn.NewBandit(geo.Sets, geo.Assoc, spec.Seed+5))
 	case PolicyLearned:
 		geo := l2.Config()
-		model := spec.Model
-		if model == nil && spec.ModelPath != "" {
+		var model *learn.Model
+		if spec.ModelPath != "" {
 			m, err := learn.ReadModelFile(spec.ModelPath)
 			if err != nil {
 				return nil, nil, err
 			}
 			model = m
-		}
-		if model == nil {
+		} else {
 			// Untrained default: every signature neutral, which the
 			// predictor resolves to exact LRU behavior.
 			model = learn.NewModel(geo.Sets, geo.Assoc, learn.DefaultTableBits, spec.Seed+7)

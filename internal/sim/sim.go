@@ -233,17 +233,13 @@ func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem,
 		default:
 		}
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		if cfg.MaxInstructions > 0 {
-			// Generous guard: even a pure chain of isolated misses
-			// retires one instruction per ~460 cycles, and contention
-			// can serialize the cores' miss chains, so each core gets
-			// the full allowance.
-			maxCycles = uint64(len(srcs))*cfg.MaxInstructions*2048 + 1_000_000
-		} else {
-			maxCycles = 1 << 40
-		}
+	// Deadlock guard. Generous: even a pure chain of isolated misses
+	// retires one instruction per ~460 cycles, and contention can
+	// serialize the cores' miss chains, so each core gets the full
+	// allowance.
+	maxCycles := uint64(1 << 40)
+	if cfg.MaxInstructions > 0 {
+		maxCycles = uint64(len(srcs))*cfg.MaxInstructions*2048 + 1_000_000
 	}
 	m, err := newMemSystem(cfg, srcs)
 	if err != nil {
