@@ -41,6 +41,15 @@ func benchRunner(b *testing.B) *experiments.Runner {
 	return experiments.NewRunner(benchInstructions, 42)
 }
 
+// renderTable renders experiment id's text table from r's memoized
+// runs, the last step of what mlpexp does per experiment.
+func renderTable(b *testing.B, r *experiments.Runner, id string) {
+	b.Helper()
+	if err := experiments.RunByID(r, id, "text", io.Discard); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // The throughput benchmarks run on shared virtual machines whose speed
 // drifts within seconds as neighbours come and go, so a lone instr/s
 // figure says as much about the host as about the code. Each one
@@ -133,7 +142,7 @@ func BenchmarkFig2_MLPCostDistribution(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"art", "mcf", "facerec"}
 		res := experiments.Figure2(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig2")
 		// art is the parallel extreme, facerec carries the isolated
 		// peak: report both means.
 		b.ReportMetric(res.Rows[0].Mean, "art-mean-cost-cycles")
@@ -146,7 +155,7 @@ func BenchmarkTab1_DeltaDistribution(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"mcf", "parser"}
 		res := experiments.Table1(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "tab1")
 		b.ReportMetric(res.Rows[0].Lt60, "mcf-delta-lt60-pct")
 		b.ReportMetric(res.Rows[1].Ge120, "parser-delta-ge120-pct")
 	}
@@ -157,7 +166,7 @@ func BenchmarkTab3_BenchmarkSummary(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"art", "lucas"}
 		res := experiments.Table3(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "tab3")
 		// The paper's ordering: lucas's compulsory share far exceeds art's.
 		b.ReportMetric(res.Rows[1].CompulsoryPct-res.Rows[0].CompulsoryPct, "lucas-minus-art-compulsory-pct")
 	}
@@ -178,7 +187,7 @@ func BenchmarkFig4_LINLambdaSweep(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"mcf"}
 		res := experiments.Figure4(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig4")
 		// The paper: the effect grows with λ.
 		b.ReportMetric(res.Rows[0].IPCDelta[3], "mcf-lin4-ipc-delta-pct")
 		b.ReportMetric(res.Rows[0].IPCDelta[0], "mcf-lin1-ipc-delta-pct")
@@ -190,7 +199,7 @@ func BenchmarkFig5_LINvsBaseline(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"mcf", "parser"}
 		res := experiments.Figure5(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig5")
 		b.ReportMetric(res.Rows[0].IPCDeltaPct, "mcf-lin-ipc-pct")
 		b.ReportMetric(res.Rows[1].IPCDeltaPct, "parser-lin-ipc-pct")
 	}
@@ -211,7 +220,7 @@ func BenchmarkFig9_SBARvsLIN(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"parser"}
 		res := experiments.Figure9(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig9")
 		b.ReportMetric(res.Rows[0].LINDeltaPct, "parser-lin-ipc-pct")
 		b.ReportMetric(res.Rows[0].SBARDeltaPct, "parser-sbar-ipc-pct")
 	}
@@ -222,7 +231,7 @@ func BenchmarkFig10_LeaderSetSweep(b *testing.B) {
 		r := benchRunner(b)
 		r.Benchmarks = []string{"mcf"}
 		res := experiments.Figure10(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig10")
 		// static/32 is the default configuration.
 		b.ReportMetric(res.Rows[0].DeltaPct[4], "mcf-sbar-static32-ipc-pct")
 	}
@@ -232,7 +241,7 @@ func BenchmarkFig11_AmmpTimeSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(1_000_000, 42)
 		res := experiments.Figure11(r)
-		res.Render(io.Discard)
+		renderTable(b, r, "fig11")
 		lru, sbar := res.Results["lru"], res.Results["sbar"]
 		b.ReportMetric(sbar.IPCDeltaPercent(lru), "ammp-sbar-ipc-pct")
 	}

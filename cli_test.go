@@ -164,6 +164,13 @@ func TestCLIEndToEnd(t *testing.T) {
 		mustFailCleanly(t, "mlpexp", "-run", "fig99")
 	})
 
+	t.Run("mlpexp-unknown-format-fails", func(t *testing.T) {
+		out := mustFailCleanly(t, "mlpexp", "-run", "fig8", "-format", "xml")
+		if !strings.Contains(out, "xml") || strings.Contains(out, "Figure 8") {
+			t.Fatalf("want a diagnostic naming the format and no table:\n%s", out)
+		}
+	})
+
 	t.Run("mlptrace-missing-file-fails", func(t *testing.T) {
 		mustFailCleanly(t, "mlptrace", "-stats", filepath.Join(dir, "absent.trace"))
 	})

@@ -37,7 +37,6 @@ import (
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/prof"
 	"mlpcache/internal/service"
-	"mlpcache/internal/sim"
 )
 
 func main() {
@@ -94,8 +93,8 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		r.OnResult = func(b string, spec sim.PolicySpec, res sim.Result) {
-			if err := res.Metrics().WriteJSONL(metricsFile, res.Header(b, *seed)); err != nil {
+		r.OnResult = func(hdr metrics.RunHeader, reg *metrics.Registry) {
+			if err := reg.WriteJSONL(metricsFile, hdr); err != nil {
 				fatal("metrics: %v", err)
 			}
 		}
@@ -135,16 +134,7 @@ func main() {
 		ids = experiments.SensitivityIDs()
 	}
 	for _, id := range ids {
-		var err error
-		switch *format {
-		case "csv":
-			err = experiments.RunByIDCSV(r, strings.TrimSpace(id), os.Stdout)
-		case "json":
-			err = experiments.RunByIDJSON(r, strings.TrimSpace(id), os.Stdout)
-		default:
-			err = experiments.RunByID(r, strings.TrimSpace(id), os.Stdout)
-		}
-		if err != nil {
+		if err := experiments.RunByID(r, strings.TrimSpace(id), *format, os.Stdout); err != nil {
 			fatal("%v", err)
 		}
 	}

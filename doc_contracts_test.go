@@ -169,7 +169,7 @@ var covering = sync.OnceValue(func() coverage {
 	r := experiments.NewRunner(60_000, 42)
 	r.Benchmarks = []string{"mcf"}
 	r.Trace = sink
-	if err := experiments.RunByID(r, "fig2", io.Discard); err != nil {
+	if err := experiments.RunByID(r, "fig2", "text", io.Discard); err != nil {
 		panic(fmt.Sprintf("fig2: %v", err))
 	}
 	for ty := range seen {

@@ -46,26 +46,31 @@ func TestRunnerUnboundedDefault(t *testing.T) {
 
 // TestRunnerContextCancelled checks a cancelled runner context surfaces
 // as a typed error from the experiment entry points instead of a
-// rendered partial table.
+// rendered partial table, for single-core figures, the sensitivity and
+// seed sweeps, and multi-core runs alike.
 func TestRunnerContextCancelled(t *testing.T) {
-	r := NewRunner(5_000_000, 1)
-	r.Benchmarks = []string{"mcf"}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r.Context = ctx
+	for _, id := range []string{"tab3", "sens-mem", "stab", "multicore-contention"} {
+		t.Run(id, func(t *testing.T) {
+			r := NewRunner(5_000_000, 1)
+			r.Benchmarks = []string{"mcf"}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			r.Context = ctx
 
-	var buf bytes.Buffer
-	err := RunByID(r, "tab3", &buf)
-	if !errors.Is(err, simerr.ErrCancelled) {
-		t.Fatalf("RunByID under cancelled context = %v, want ErrCancelled", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("cancelled experiment still rendered %d bytes", buf.Len())
-	}
-	if err := r.Err(); !errors.Is(err, simerr.ErrCancelled) {
-		t.Fatalf("runner.Err = %v, want ErrCancelled", err)
-	}
-	if n := len(r.CachedKeys()); n != 0 {
-		t.Fatalf("cancelled runs were memoized: %d keys", n)
+			var buf bytes.Buffer
+			err := RunByID(r, id, "text", &buf)
+			if !errors.Is(err, simerr.ErrCancelled) {
+				t.Fatalf("RunByID under cancelled context = %v, want ErrCancelled", err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("cancelled experiment still rendered %d bytes", buf.Len())
+			}
+			if err := r.Err(); !errors.Is(err, simerr.ErrCancelled) {
+				t.Fatalf("runner.Err = %v, want ErrCancelled", err)
+			}
+			if n := len(r.CachedKeys()); n != 0 {
+				t.Fatalf("cancelled runs were memoized: %d keys", n)
+			}
+		})
 	}
 }

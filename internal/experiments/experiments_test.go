@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"mlpcache/internal/sim"
+	"mlpcache/internal/simerr"
 )
 
 func TestFigure1MatchesPaperExactly(t *testing.T) {
@@ -61,7 +63,9 @@ func TestOverheadReport(t *testing.T) {
 
 func TestTable2RendersLiveConfig(t *testing.T) {
 	var buf bytes.Buffer
-	Table2().Render(&buf)
+	if err := Table2().table().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, want := range []string{"128-entry window", "1024KB", "32-entry MSHR", "444"} {
 		if !strings.Contains(out, want) {
@@ -85,8 +89,15 @@ func TestRunnerMemoizes(t *testing.T) {
 
 func TestRunByIDUnknown(t *testing.T) {
 	r := NewRunner(1000, 1)
-	if err := RunByID(r, "fig99", &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error for unknown experiment")
+	if err := RunByID(r, "fig99", "text", &bytes.Buffer{}); !errors.Is(err, simerr.ErrBadConfig) {
+		t.Fatalf("unknown experiment: err = %v, want ErrBadConfig", err)
+	}
+	var buf bytes.Buffer
+	if err := RunByID(r, "tab3", "xml", &buf); !errors.Is(err, simerr.ErrBadConfig) {
+		t.Fatalf("unknown format: err = %v, want ErrBadConfig", err)
+	}
+	if buf.Len() != 0 || len(r.CachedKeys()) != 0 {
+		t.Fatalf("unknown format still ran: %d bytes written, %d runs memoized", buf.Len(), len(r.CachedKeys()))
 	}
 }
 
@@ -100,7 +111,7 @@ func TestAllIDsRunnable(t *testing.T) {
 	r.Benchmarks = []string{"mcf", "parser"}
 	for _, id := range AllIDs() {
 		var buf bytes.Buffer
-		if err := RunByID(r, id, &buf); err != nil {
+		if err := RunByID(r, id, "text", &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if buf.Len() == 0 {
@@ -159,7 +170,7 @@ func TestSensitivityAndStabilitySmoke(t *testing.T) {
 	r := NewRunner(150_000, 7)
 	for _, id := range SensitivityIDs() {
 		var buf bytes.Buffer
-		if err := RunByID(r, id, &buf); err != nil {
+		if err := RunByID(r, id, "text", &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if buf.Len() == 0 {
@@ -171,7 +182,7 @@ func TestSensitivityAndStabilitySmoke(t *testing.T) {
 func TestCSVRendering(t *testing.T) {
 	r := NewRunner(1000, 1)
 	var buf bytes.Buffer
-	if err := RunByIDCSV(r, "fig8", &buf); err != nil {
+	if err := RunByID(r, "fig8", "csv", &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -185,7 +196,7 @@ func TestCSVRendering(t *testing.T) {
 	if !strings.Contains(lines[2], "0.500") {
 		t.Fatalf("data row malformed: %q", lines[2])
 	}
-	if err := RunByIDCSV(r, "nope", &buf); err == nil {
+	if err := RunByID(r, "nope", "csv", &buf); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
 }
@@ -212,4 +223,20 @@ func TestTable3CompulsoryOrdering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchesByCompulsory returns the benchmark names ordered by measured
+// compulsory share, to check the ordering against the paper's.
+func (f Table3Result) benchesByCompulsory() []string {
+	rows := append([]Table3Row(nil), f.Rows...)
+	for i := 1; i < len(rows); i++ {
+		for j := i; j > 0 && rows[j].CompulsoryPct < rows[j-1].CompulsoryPct; j-- {
+			rows[j], rows[j-1] = rows[j-1], rows[j]
+		}
+	}
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Bench
+	}
+	return names
 }

@@ -30,7 +30,7 @@ func TestGoldenTables(t *testing.T) {
 	got := make(map[string]string, len(ids))
 	for _, id := range ids {
 		var buf bytes.Buffer
-		if err := RunByIDJSON(r, id, &buf); err != nil {
+		if err := RunByID(r, id, "json", &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		h := fnv.New64a()

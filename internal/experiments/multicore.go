@@ -5,9 +5,6 @@ import (
 	"strings"
 
 	"mlpcache/internal/sim"
-	"mlpcache/internal/simerr"
-	"mlpcache/internal/trace"
-	"mlpcache/internal/workload"
 )
 
 // MulticoreMixes is the heterogeneous workload pairings the contention
@@ -43,27 +40,18 @@ type MulticoreResult struct {
 	Rows []MulticoreRow
 }
 
-// multicorePolicies is the comparison set: the LRU baseline, fixed LIN,
-// and SBAR with its per-thread partitioned selector.
-var multicorePolicies = []sim.PolicySpec{
-	{Kind: sim.PolicyLRU},
-	{Kind: sim.PolicyLIN, Lambda: 4},
-	{Kind: sim.PolicySBAR},
-}
-
 // MulticoreContention runs every mix under LRU, LIN and SBAR on two
 // cores sharing the contended L2 and tables per-core plus aggregate
-// misses and mlp-cost. Multi-core runs bypass the runner's memo table
-// (the single-core Result cache cannot hold them) but honour its
-// instruction budget, seed and cancellation context; core i seeds its
-// workload with Seed+i, matching mlpsim -cores.
+// misses and mlp-cost. Core i seeds its workload with Seed+i, matching
+// mlpsim -cores.
 func MulticoreContention(r *Runner) MulticoreResult {
 	var out MulticoreResult
-	for _, mix := range MulticoreMixes {
-		for _, spec := range multicorePolicies {
-			res := r.runMulti(mix, spec)
+	for _, names := range MulticoreMixes {
+		mix := strings.Join(names, "+")
+		out.Rows = append(out.Rows, forBenches(r, comparison, func(spec sim.PolicySpec) MulticoreRow {
+			res := r.run(runSpec{Mix: mix, Seed: r.Seed, Policy: spec}, false).multi
 			row := MulticoreRow{
-				Mix:         strings.Join(mix, "+"),
+				Mix:         mix,
 				Policy:      spec.String(),
 				AggMisses:   res.Mem.DemandMisses,
 				AggCost:     res.AvgMLPCost(),
@@ -75,38 +63,10 @@ func MulticoreContention(r *Runner) MulticoreResult {
 				row.CoreMPKI = append(row.CoreMPKI, c.MPKI())
 				row.CoreCost = append(row.CoreCost, c.AvgMLPCost())
 			}
-			out.Rows = append(out.Rows, row)
-		}
+			return row
+		})...)
 	}
 	return out
-}
-
-// runMulti executes one multi-core simulation on the runner's budget,
-// routing failures through the runner's cancellation machinery.
-func (r *Runner) runMulti(mix []string, spec sim.PolicySpec) sim.MultiResult {
-	cfg := sim.DefaultConfig()
-	cfg.MaxInstructions = r.Instructions
-	cfg.Policy = spec
-	srcs := buildMix(r, mix)
-	res, err := sim.RunMultiContext(r.context(), cfg, srcs...)
-	if err != nil {
-		r.fail(err)
-	}
-	return res
-}
-
-// buildMix materializes one source per core; the mixes are compiled in,
-// so an unknown name is a bug, not an input error.
-func buildMix(r *Runner, mix []string) []trace.Source {
-	srcs := make([]trace.Source, 0, len(mix))
-	for i, b := range mix {
-		w, ok := workload.ByName(b)
-		if !ok {
-			panic(simerr.New(simerr.ErrUnknownBenchmark, "experiments: unknown benchmark %q in mix", b))
-		}
-		srcs = append(srcs, w.Build(r.Seed+uint64(i)))
-	}
-	return srcs
 }
 
 // table builds the paper-style contention table.

@@ -10,10 +10,12 @@ import (
 	"mlpcache/internal/sim"
 )
 
-// TestParallelRunnerMatchesSerial runs the same experiment serially and
+// TestParallelRunnerMatchesSerial runs the same experiments serially and
 // on a worker pool and requires identical results, identical memo
 // tables, and intact per-run telemetry framing: every run.start boundary
-// present exactly once, each fresh run's metrics document observed once.
+// present exactly once, each fresh run's metrics document observed once,
+// and one of each per distinct simulation — Stability's runs off the
+// runner's seed included.
 func TestParallelRunnerMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -32,46 +34,64 @@ func TestParallelRunnerMatchesSerial(t *testing.T) {
 			events = append(events, ev)
 			mu.Unlock()
 		})
-		r.OnResult = func(b string, spec sim.PolicySpec, res sim.Result) {
+		r.OnResult = func(hdr metrics.RunHeader, reg *metrics.Registry) {
 			mu.Lock()
-			seen = append(seen, b+"|"+spec.String())
+			seen = append(seen, hdr.Bench+"|"+hdr.Policy)
 			mu.Unlock()
 		}
 		return r, &events, &seen
 	}
 
-	serial, _, serialSeen := build(1)
-	parallel, parEvents, parSeen := build(4)
-	want := Figure9(serial)
-	got := Figure9(parallel)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("parallel Figure9 diverged:\nserial   %+v\nparallel %+v", want, got)
-	}
-	if sk, pk := serial.CachedKeys(), parallel.CachedKeys(); !reflect.DeepEqual(sk, pk) {
-		t.Fatalf("memo tables diverged:\nserial   %v\nparallel %v", sk, pk)
-	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Runner) any
+		runs int // distinct simulations
+	}{
+		{"Figure9", func(r *Runner) any { return Figure9(r) }, 9},      // 3 benchmarks × 3 policies
+		{"Stability", func(r *Runner) any { return Stability(r) }, 27}, // × 3 seeds
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, _, serialSeen := build(1)
+			parallel, parEvents, parSeen := build(4)
+			want := tc.run(serial)
+			got := tc.run(parallel)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("parallel %s diverged:\nserial   %+v\nparallel %+v", tc.name, want, got)
+			}
+			if sk, pk := serial.CachedKeys(), parallel.CachedKeys(); !reflect.DeepEqual(sk, pk) {
+				t.Fatalf("memo tables diverged:\nserial   %v\nparallel %v", sk, pk)
+			}
 
-	sort.Strings(*serialSeen)
-	sort.Strings(*parSeen)
-	if !reflect.DeepEqual(*serialSeen, *parSeen) {
-		t.Fatalf("OnResult runs diverged:\nserial   %v\nparallel %v", *serialSeen, *parSeen)
-	}
+			sort.Strings(*serialSeen)
+			sort.Strings(*parSeen)
+			if !reflect.DeepEqual(*serialSeen, *parSeen) {
+				t.Fatalf("OnResult runs diverged:\nserial   %v\nparallel %v", *serialSeen, *parSeen)
+			}
+			distinct := map[string]bool{}
+			for _, key := range *parSeen {
+				distinct[key] = true
+			}
+			if len(*parSeen) != tc.runs || len(distinct) != tc.runs {
+				t.Fatalf("OnResult saw %d runs, %d distinct, want %d: %v", len(*parSeen), len(distinct), tc.runs, *parSeen)
+			}
 
-	// Framing: the event stream must decompose into one contiguous block
-	// per fresh run, each opened by exactly one run.start.
-	starts := map[string]int{}
-	for _, ev := range *parEvents {
-		if ev.Type == metrics.EventRunStart {
-			starts[ev.Label+"|"+ev.Policy]++
-		}
-	}
-	if len(starts) != len(*parSeen) {
-		t.Fatalf("saw %d distinct run.start boundaries, want %d", len(starts), len(*parSeen))
-	}
-	for key, n := range starts {
-		if n != 1 {
-			t.Fatalf("run.start for %s emitted %d times", key, n)
-		}
+			// Framing: the event stream must decompose into one contiguous
+			// block per fresh run, each opened by exactly one run.start.
+			starts := map[string]int{}
+			for _, ev := range *parEvents {
+				if ev.Type == metrics.EventRunStart {
+					starts[ev.Label+"|"+ev.Policy]++
+				}
+			}
+			if len(starts) != tc.runs {
+				t.Fatalf("saw %d distinct run.start boundaries, want %d", len(starts), tc.runs)
+			}
+			for key, n := range starts {
+				if n != 1 {
+					t.Fatalf("run.start for %s emitted %d times", key, n)
+				}
+			}
+		})
 	}
 }
 

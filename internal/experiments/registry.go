@@ -1,149 +1,125 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"mlpcache/internal/simerr"
 )
 
-// renderable is any experiment result that can print itself; every
-// result also exposes its table for CSV export.
-type renderable interface {
-	Render(w io.Writer)
-	table() *table
+// An experiment is one runnable id: the group mlpexp runs it in and the
+// builder that runs it and returns its table.
+type experiment struct {
+	id string
+	// group is "all" for the paper's evaluation, in paper order, and
+	// "sens" for the extension sweeps (the material of the paper's
+	// truncated Section 7) plus the multi-core contention study, kept
+	// out of "all" since each costs many simulations.
+	group string
+	build func(*Runner) *table
 }
 
-// AllIDs returns every experiment id in paper order.
-func AllIDs() []string {
-	return []string{
-		"fig1", "fig2", "tab1", "tab2", "tab3", "fig3b",
-		"fig4", "fig5", "fig8", "fig9", "fig10", "fig11", "ovh",
-		"oracle-headroom", "learned-headroom",
+// registry lists every experiment, each group in the order mlpexp
+// -run all and -run sens print it.
+var registry = []experiment{
+	{"fig1", "all", func(*Runner) *table { return Figure1().table() }},
+	{"fig2", "all", func(r *Runner) *table { return Figure2(r).table() }},
+	{"tab1", "all", func(r *Runner) *table { return Table1(r).table() }},
+	{"tab2", "all", func(*Runner) *table { return Table2().table() }},
+	{"tab3", "all", func(r *Runner) *table { return Table3(r).table() }},
+	{"fig3b", "all", func(*Runner) *table { return Figure3b().table() }},
+	{"fig4", "all", func(r *Runner) *table { return Figure4(r).table() }},
+	{"fig5", "all", func(r *Runner) *table { return Figure5(r).table() }},
+	{"fig8", "all", func(*Runner) *table { return Figure8().table() }},
+	{"fig9", "all", func(r *Runner) *table { return Figure9(r).table() }},
+	{"fig10", "all", func(r *Runner) *table { return Figure10(r).table() }},
+	{"fig11", "all", func(r *Runner) *table { return Figure11(r).table() }},
+	{"ovh", "all", func(*Runner) *table { return OverheadReport().table() }},
+	{"oracle-headroom", "all", func(r *Runner) *table { return OracleHeadroom(r).table() }},
+	{"learned-headroom", "all", func(r *Runner) *table { return LearnedHeadroom(r).table() }},
+	{"sens-mem", "sens", func(r *Runner) *table { return SensitivityMemLatency(r).table() }},
+	{"sens-cache", "sens", func(r *Runner) *table { return SensitivityCacheSize(r).table() }},
+	{"sens-mshr", "sens", func(r *Runner) *table { return SensitivityMSHR(r).table() }},
+	{"sens-window", "sens", func(r *Runner) *table { return SensitivityWindow(r).table() }},
+	{"stab", "sens", func(r *Runner) *table { return Stability(r).table() }},
+	{"cbs", "sens", func(r *Runner) *table { return CBSComparison(r).table() }},
+	{"multicore-contention", "sens", func(r *Runner) *table { return MulticoreContention(r).table() }},
+}
+
+// formats are RunByID's output formats.
+var formats = map[string]func(*table, io.Writer) error{
+	"text": (*table).WriteText,
+	"csv":  (*table).WriteCSV,
+	"json": (*table).WriteJSON,
+}
+
+// groupIDs returns the ids of one registry group, in registry order.
+func groupIDs(group string) []string {
+	var ids []string
+	for _, e := range registry {
+		if e.group == group {
+			ids = append(ids, e.id)
+		}
 	}
+	return ids
 }
 
-// SensitivityIDs returns the extension sweeps (the material of the
-// paper's truncated Section 7) plus the multi-core contention study,
-// runnable via mlpexp but not part of "all" since each costs many
-// simulations.
-func SensitivityIDs() []string {
-	return []string{"sens-mem", "sens-cache", "sens-mshr", "sens-window", "stab", "cbs", "multicore-contention"}
+// AllIDs returns every paper experiment id in paper order: what
+// mlpexp -run all runs.
+func AllIDs() []string { return groupIDs("all") }
+
+// SensitivityIDs returns the extension sweeps plus the multi-core
+// contention study: what mlpexp -run sens runs.
+func SensitivityIDs() []string { return groupIDs("sens") }
+
+// Known reports whether id names an experiment.
+func Known(id string) bool {
+	_, ok := lookup(id)
+	return ok
 }
 
-// RunByID executes one experiment and renders it to w. A runner whose
-// Context was cancelled mid-sweep returns the wrapped
-// simerr.ErrCancelled instead of rendering a partial table.
-func RunByID(r *Runner, id string, w io.Writer) error {
+func lookup(id string) (experiment, bool) {
+	for _, e := range registry {
+		if e.id == id {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// RunByID runs one experiment and writes its table to w in format:
+// "text" (the paper-style table), "csv" (title comment, header, data
+// rows) or "json" (one mlpcache.table/v1 object). An unknown format or
+// id is a wrapped simerr.ErrBadConfig, returned before anything
+// simulates. A runner whose Context was cancelled mid-sweep returns the
+// wrapped simerr.ErrCancelled instead of writing a partial table.
+func RunByID(r *Runner, id, format string, w io.Writer) (err error) {
+	write, ok := formats[format]
+	if !ok {
+		return simerr.New(simerr.ErrBadConfig,
+			"experiments: unknown format %q (known: text, csv, json)", format)
+	}
+	e, ok := lookup(id)
+	if !ok {
+		return simerr.New(simerr.ErrBadConfig,
+			"experiments: unknown experiment %q (known: %v plus %v)", id, AllIDs(), SensitivityIDs())
+	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	res, err := resolve(r, id)
-	if err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	res.Render(w)
-	return nil
-}
-
-// resolve runs the experiment behind an id. A cancelled sweep unwinds
-// the builder with a cancelAbort panic (see Runner.fail); it is caught
-// here and handed back as the runner's recorded error.
-func resolve(r *Runner, id string) (res renderable, err error) {
+	// A cancelled sweep unwinds the builder with a cancelAbort panic
+	// (see Runner.fail), caught here and handed back as the runner's
+	// recorded error.
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if _, ok := p.(cancelAbort); !ok {
-			panic(p)
-		}
-		res = nil
-		if err = r.Err(); err == nil {
-			err = simerr.New(simerr.ErrCancelled, "experiments: sweep cancelled")
+		if p := recover(); p != nil {
+			if _, ok := p.(cancelAbort); !ok {
+				panic(p)
+			}
+			err = r.Err()
 		}
 	}()
-	switch id {
-	case "fig1":
-		res = Figure1()
-	case "fig2":
-		res = Figure2(r)
-	case "tab1":
-		res = Table1(r)
-	case "tab2":
-		res = Table2()
-	case "tab3":
-		res = Table3(r)
-	case "fig3b":
-		res = Figure3b()
-	case "fig4":
-		res = Figure4(r)
-	case "fig5":
-		res = Figure5(r)
-	case "fig8":
-		res = Figure8()
-	case "fig9":
-		res = Figure9(r)
-	case "fig10":
-		res = Figure10(r)
-	case "fig11":
-		res = Figure11(r)
-	case "ovh":
-		res = OverheadReport()
-	case "oracle-headroom":
-		res = OracleHeadroom(r)
-	case "learned-headroom":
-		res = LearnedHeadroom(r)
-	case "sens-mem":
-		res = SensitivityMemLatency(r)
-	case "sens-cache":
-		res = SensitivityCacheSize(r)
-	case "sens-mshr":
-		res = SensitivityMSHR(r)
-	case "sens-window":
-		res = SensitivityWindow(r)
-	case "stab":
-		res = Stability(r)
-	case "cbs":
-		res = CBSComparison(r)
-	case "multicore-contention":
-		res = MulticoreContention(r)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (known: %v plus %v)", id, AllIDs(), SensitivityIDs())
-	}
-	return res, nil
-}
-
-// RunByIDCSV executes one experiment and writes its data rows as CSV.
-func RunByIDCSV(r *Runner, id string, w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	res, err := resolve(r, id)
-	if err != nil {
-		return err
-	}
+	t := e.build(r)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	return res.table().WriteCSV(w)
-}
-
-// RunByIDJSON executes one experiment and writes its table as one JSON
-// object (schema "mlpcache.table/v1").
-func RunByIDJSON(r *Runner, id string, w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	res, err := resolve(r, id)
-	if err != nil {
-		return err
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return res.table().WriteJSON(w)
+	return write(t, w)
 }

@@ -78,8 +78,8 @@ func (t *table) WriteJSON(w io.Writer) error {
 	})
 }
 
-// Render writes the table to w.
-func (t *table) Render(w io.Writer) {
+// WriteText writes the paper-style text table.
+func (t *table) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "== %s ==\n", t.title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	if len(t.header) > 0 {
@@ -88,11 +88,14 @@ func (t *table) Render(w io.Writer) {
 	for _, r := range t.rows {
 		fmt.Fprintln(tw, strings.Join(r, "\t"))
 	}
-	tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
 	for _, n := range t.notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-	fmt.Fprintln(w)
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 func pct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"mlpcache/internal/metrics"
@@ -21,14 +22,16 @@ import (
 	"mlpcache/internal/rescache"
 	"mlpcache/internal/sim"
 	"mlpcache/internal/simerr"
+	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
 
-// Runner executes benchmark×policy simulations with memoization, since
-// the experiments share many configurations (every figure needs the LRU
-// baseline, for instance). Per-benchmark work fans out over a worker
-// pool (see Workers); the memo table is safe for concurrent use and
-// duplicate in-flight configurations are coalesced into one simulation.
+// Runner executes every simulation of every experiment with
+// memoization, since the experiments share many configurations (every
+// figure needs the LRU baseline, and a sensitivity sweep's Table 2 point
+// is that baseline too). Per-benchmark work fans out over a worker pool
+// (see Workers); the memo table is safe for concurrent use and duplicate
+// in-flight configurations are coalesced into one simulation.
 type Runner struct {
 	// Instructions is the per-run instruction budget. The paper uses
 	// 250M-instruction SimPoint slices; the synthetic workloads reach
@@ -64,8 +67,12 @@ type Runner struct {
 	Context context.Context
 
 	// Trace, when non-nil, is installed as every fresh simulation's
-	// event tracer; a "run.start" boundary event (Label=benchmark,
-	// Policy=spec) precedes each run's stream. When runs execute
+	// event tracer; a "run.start" boundary event (Label=the run's label,
+	// Policy=spec) precedes each run's stream. A label is the benchmark,
+	// or a multi-core mix's benchmarks joined by "+", followed by the
+	// run's departures from the runner's Seed and the Table 2 machine
+	// ("mcf [seed=143]", "parser [L2 size=512KB]"); a run on the
+	// runner's Seed and Table 2 keeps the bare name. When runs execute
 	// concurrently each run's events are buffered and replayed as one
 	// contiguous block behind its run.start, so the framing downstream
 	// consumers split on survives parallelism. Memoized replays emit
@@ -78,9 +85,11 @@ type Runner struct {
 	// does not alter results, so memoization keys ignore it.
 	SnapshotInterval uint64
 	// OnResult, when non-nil, observes every fresh (non-memoized)
-	// simulation's result; mlpexp uses it to append per-run metrics
+	// simulation, single- or multi-core: its metrics header, whose Bench
+	// is the run's label (see Trace) and Seed the run's seed, and its
+	// metric registry. mlpexp uses it to append per-run metrics
 	// documents to a JSONL file. Calls are serialized.
-	OnResult func(bench string, spec sim.PolicySpec, res sim.Result)
+	OnResult func(hdr metrics.RunHeader, reg *metrics.Registry)
 
 	memoOnce sync.Once
 	memo     *rescache.Cache[runEntry]
@@ -98,11 +107,39 @@ type Runner struct {
 	arenas  []*sim.Arena
 }
 
-// runEntry is one memoized simulation: the result, plus the captured
-// oracle access log when RunCaptured has recorded one.
+// runSpec describes one simulation. It is comparable, and its printed
+// form once resolved is the memo key, so experiments that describe the
+// same run share one simulation.
+type runSpec struct {
+	// Mix is a benchmark name, or per-core benchmark names joined by
+	// "+" for a multi-core run sharing the L2.
+	Mix string
+	// Seed drives workload generation; core i builds its workload with
+	// Seed+i, matching mlpsim -cores.
+	Seed   uint64
+	Policy sim.PolicySpec
+	// Machine holds the run's departures from the Table 2 machine.
+	Machine machine
+	// Instructions is the run's budget, the runner's Instructions.
+	Instructions uint64
+	// Interval samples the Figure 11 time series and Epoch reselects
+	// rand-dynamic SBAR's leaders, every that many instructions (0: off).
+	Interval, Epoch uint64
+}
+
+// runEntry is one memoized simulation: the single- or multi-core
+// result, plus the captured oracle access log when RunCaptured has
+// recorded one.
 type runEntry struct {
-	res sim.Result
-	log *oracle.Log
+	res   sim.Result
+	multi sim.MultiResult
+	log   *oracle.Log
+}
+
+// report is what a Result and a MultiResult both hand to OnResult.
+type report interface {
+	Header(bench string, seed uint64) metrics.RunHeader
+	Metrics() *metrics.Registry
 }
 
 // NewRunner returns a Runner with the given per-run instruction budget.
@@ -113,21 +150,15 @@ func NewRunner(instructions, seed uint64) *Runner {
 // table returns the memo cache, building it on first use with the
 // configured Capacity.
 func (r *Runner) table() *rescache.Cache[runEntry] {
-	r.memoOnce.Do(func() {
-		capacity := r.Capacity
-		if capacity < 0 {
-			capacity = 0
-		}
-		r.memo = rescache.New[runEntry](capacity)
-	})
+	r.memoOnce.Do(func() { r.memo = rescache.New[runEntry](r.Capacity) })
 	return r.memo
 }
 
 // Validate checks that every benchmark the runner is restricted to
 // exists in the workload registry and that the run parameters are sane,
 // wrapping failures in simerr.ErrUnknownBenchmark / simerr.ErrBadConfig.
-// RunByID and RunByIDCSV call it before running anything, so a typo'd
-// -bench flag surfaces as one typed error instead of a panic mid-suite.
+// RunByID calls it before running anything, so a typo'd -bench flag
+// surfaces as one typed error instead of a panic mid-suite.
 func (r *Runner) Validate() error {
 	for _, b := range r.Benchmarks {
 		if _, ok := workload.ByName(b); !ok {
@@ -164,8 +195,8 @@ func (r *Runner) context() context.Context {
 }
 
 // Err reports the first cancellation (or other run failure) the runner
-// observed; experiments render nothing useful after one, so RunByID and
-// friends check it before emitting output.
+// observed; experiments render nothing useful after one, so RunByID
+// checks it before emitting output.
 func (r *Runner) Err() error {
 	r.errMu.Lock()
 	defer r.errMu.Unlock()
@@ -181,22 +212,20 @@ func (r *Runner) noteErr(err error) {
 	r.errMu.Unlock()
 }
 
-// workers resolves the effective pool size.
+// workers resolves the effective pool size; below 2 runs are serial.
 func (r *Runner) workers() int {
 	if r.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if r.Workers < 1 {
-		return 1
-	}
 	return r.Workers
 }
 
-// forBenches maps fn over the benchmarks on the runner's worker pool,
-// preserving input order in the result slice. With one worker it
-// degenerates to a plain loop. (A package function rather than a method
-// because methods cannot take type parameters.)
-func forBenches[T any](r *Runner, benches []string, fn func(bench string) T) []T {
+// forBenches maps fn over the benchmarks, or over any per-benchmark
+// work items, on the runner's worker pool, preserving input order in the
+// result slice. With one worker it degenerates to a plain loop. (A
+// package function rather than a method because methods cannot take
+// type parameters.)
+func forBenches[B, T any](r *Runner, benches []B, fn func(bench B) T) []T {
 	out := make([]T, len(benches))
 	n := r.workers()
 	if n > len(benches) {
@@ -210,25 +239,21 @@ func forBenches[T any](r *Runner, benches []string, fn func(bench string) T) []T
 	}
 	sem := make(chan struct{}, n)
 	var (
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicVal any
+		wg         sync.WaitGroup
+		firstPanic sync.Once
+		panicVal   any
 	)
 	for i, b := range benches {
 		wg.Add(1)
-		go func(i int, b string) {
+		go func(i int, b B) {
 			defer wg.Done()
 			// A panic in a worker goroutine (cancelAbort, or a genuine
-			// simulator bug) would kill the process before resolve's
+			// simulator bug) would kill the process before RunByID's
 			// recover could see it; capture the first one and re-throw
 			// it from the caller's goroutine after the pool settles.
 			defer func() {
 				if p := recover(); p != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = p
-					}
-					panicMu.Unlock()
+					firstPanic.Do(func() { panicVal = p })
 				}
 			}()
 			sem <- struct{}{}
@@ -243,49 +268,66 @@ func forBenches[T any](r *Runner, benches []string, fn func(bench string) T) []T
 	return out
 }
 
-// Run simulates one benchmark under one policy, memoized.
+// Run simulates one benchmark under one policy on the runner's seed and
+// the Table 2 machine, memoized.
 func (r *Runner) Run(bench string, spec sim.PolicySpec) sim.Result {
-	return r.run(bench, spec, 0, 0)
+	return r.run(runSpec{Mix: bench, Seed: r.Seed, Policy: spec}, false).res
 }
 
-// RunSeries is Run with Figure 11 time-series sampling enabled.
-func (r *Runner) RunSeries(bench string, spec sim.PolicySpec, interval uint64) sim.Result {
-	return r.run(bench, spec, interval, 0)
-}
-
-// RunEpoch is Run with periodic leader reselection (rand-dynamic SBAR).
-func (r *Runner) RunEpoch(bench string, spec sim.PolicySpec, epoch uint64) sim.Result {
-	return r.run(bench, spec, 0, epoch)
-}
-
-func (r *Runner) key(bench string, spec sim.PolicySpec, interval, epoch uint64) string {
-	return fmt.Sprintf("%s|%+v|%d|%d|%d|%d", bench, spec, r.Instructions, r.Seed, interval, epoch)
-}
-
-func (r *Runner) run(bench string, spec sim.PolicySpec, interval, epoch uint64) sim.Result {
-	e, err := r.table().DoIf(r.context(), r.key(bench, spec, interval, epoch), nil,
-		func(runEntry, bool) (runEntry, error) {
-			res, err := r.simulate(bench, spec, interval, epoch, nil, false)
-			return runEntry{res: res}, err
+// run returns the memoized outcome of one simulation, simulating it on
+// first request: every simulation of every experiment goes through here.
+// With capture set the entry also carries the run's oracle access log;
+// if the result is already cached without one, the simulation re-runs
+// silently (no Trace events, no OnResult call) purely to record the
+// stream — the run is deterministic, so the result is identical and its
+// telemetry must not be emitted twice.
+func (r *Runner) run(d runSpec, capture bool) runEntry {
+	d.Instructions = r.Instructions
+	d.Machine = d.Machine.resolve()
+	var done func(runEntry) bool
+	if capture {
+		done = func(e runEntry) bool { return e.log != nil }
+	}
+	e, err := r.table().DoIf(r.context(), fmt.Sprintf("%+v", d), done,
+		func(_ runEntry, cached bool) (runEntry, error) {
+			return r.simulate(d, capture, cached)
 		})
 	if err != nil {
 		r.fail(err)
-		return sim.Result{}
 	}
-	return e.res
+	return e
+}
+
+// label names a run in its run.start event and metrics header: the
+// benchmark or mix, then its departures from the runner's seed and the
+// Table 2 machine ("mcf [seed=143]", "parser [L2 size=512KB]").
+func (r *Runner) label(d runSpec) string {
+	var departs []string
+	if d.Seed != r.Seed {
+		departs = append(departs, fmt.Sprintf("seed=%d", d.Seed))
+	}
+	for i, v := range d.Machine {
+		if v != 0 {
+			departs = append(departs, knobs[i].name+"="+knobs[i].value(v))
+		}
+	}
+	if len(departs) == 0 {
+		return d.Mix
+	}
+	return d.Mix + " [" + strings.Join(departs, ", ") + "]"
 }
 
 // cancelAbort is the panic value fail throws on cancellation. Builders
 // dereference result internals (histograms, series), so a cancelled run
 // cannot hand back a zero Result and let the table loop continue — the
-// builder unwinds instead, and resolve converts the abort back into the
+// builder unwinds instead, and RunByID converts the abort back into the
 // runner's recorded Err.
 type cancelAbort struct{}
 
 // fail routes a run error: cancellations are recorded for Err and abort
-// the experiment builder via a cancelAbort panic that resolve recovers;
-// anything else is the old MustRun contract, a simulator bug on
-// compiled-in inputs, and panics into the run boundary for real.
+// the experiment builder via a cancelAbort panic that RunByID recovers;
+// anything else is a simulator bug on compiled-in inputs, and panics
+// into the run boundary for real.
 func (r *Runner) fail(err error) {
 	if errors.Is(err, simerr.ErrCancelled) || errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) {
@@ -323,23 +365,37 @@ type bufTracer struct{ events []metrics.Event }
 
 func (b *bufTracer) Emit(ev metrics.Event) { b.events = append(b.events, ev) }
 
-// simulate executes one fresh simulation. silent suppresses Trace and
-// OnResult — used when a memoized result is re-run only to capture its
-// access stream, whose telemetry was already emitted the first time.
-func (r *Runner) simulate(bench string, spec sim.PolicySpec, interval, epoch uint64,
-	capture sim.AccessObserver, silent bool) (sim.Result, error) {
-
-	w, ok := workload.ByName(bench)
-	if !ok {
-		// Validate catches external requests; reaching this is a bug.
-		panic(simerr.New(simerr.ErrUnknownBenchmark, "experiments: unknown benchmark %q", bench))
+// simulate executes one fresh simulation: one benchmark through
+// sim.RunContext, a mix through sim.RunMultiContext. capture attaches an
+// oracle capture sink; silent suppresses Trace and OnResult — used when
+// a memoized result is re-run only to capture its access stream, whose
+// telemetry was already emitted the first time.
+func (r *Runner) simulate(d runSpec, capture, silent bool) (runEntry, error) {
+	names := strings.Split(d.Mix, "+")
+	srcs := make([]trace.Source, len(names))
+	for i, b := range names {
+		w, ok := workload.ByName(b)
+		if !ok {
+			// Validate catches external requests; reaching this is a bug.
+			panic(simerr.New(simerr.ErrUnknownBenchmark, "experiments: unknown benchmark %q", b))
+		}
+		srcs[i] = w.Build(d.Seed + uint64(i))
 	}
 	cfg := sim.DefaultConfig()
-	cfg.MaxInstructions = r.Instructions
-	cfg.Policy = spec
-	cfg.SampleInterval = interval
-	cfg.EpochInstructions = epoch
-	cfg.Capture = capture
+	for i, k := range knobs {
+		if d.Machine[i] != 0 {
+			k.set(&cfg, d.Machine[i])
+		}
+	}
+	cfg.MaxInstructions = d.Instructions
+	cfg.Policy = d.Policy
+	cfg.SampleInterval = d.Interval
+	cfg.EpochInstructions = d.Epoch
+	var sink *oracle.Capture
+	if capture {
+		sink = oracle.NewCapture()
+		cfg.Capture = sink
+	}
 
 	// Recycle bulk simulator state across the suite's many runs. The
 	// arena is held exclusively for the duration of this run, so the
@@ -348,80 +404,66 @@ func (r *Runner) simulate(bench string, spec sim.PolicySpec, interval, epoch uin
 	defer r.putArena(arena)
 	cfg.Arena = arena
 
-	trace := r.Trace
-	onResult := r.OnResult
+	tracer, onResult := r.Trace, r.OnResult
 	if silent {
-		trace, onResult = nil, nil
+		tracer, onResult = nil, nil
 	}
-	if trace != nil {
+	label := r.label(d)
+	start := metrics.Event{Type: metrics.EventRunStart, Label: label, Policy: d.Policy.String()}
+	var buf *bufTracer
+	if tracer != nil {
 		cfg.SnapshotInterval = r.SnapshotInterval
-	}
-	start := metrics.Event{Type: metrics.EventRunStart, Label: bench, Policy: spec.String()}
-
-	if r.workers() > 1 {
-		// Buffer events so concurrent runs' streams don't interleave;
-		// replay them contiguously behind run.start under the output
-		// lock, and serialize OnResult with them.
-		var buf *bufTracer
-		if trace != nil {
+		if r.workers() > 1 {
+			// Buffer events so concurrent runs' streams don't
+			// interleave; they are replayed contiguously behind
+			// run.start under the output lock below.
 			buf = &bufTracer{}
 			cfg.Trace = buf
+		} else {
+			tracer.Emit(start)
+			cfg.Trace = tracer
 		}
-		res, err := sim.RunContext(r.context(), cfg, w.Build(r.Seed))
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if trace != nil || onResult != nil {
-			r.outMu.Lock()
-			defer r.outMu.Unlock()
-			if trace != nil {
-				trace.Emit(start)
-				for _, ev := range buf.events {
-					trace.Emit(ev)
-				}
-			}
-			if onResult != nil {
-				onResult(bench, spec, res)
-			}
-		}
-		return res, nil
 	}
 
-	if trace != nil {
-		trace.Emit(start)
-		cfg.Trace = trace
+	var (
+		e   runEntry
+		out report
+		err error
+	)
+	if len(srcs) == 1 {
+		e.res, err = sim.RunContext(r.context(), cfg, srcs[0])
+		out = e.res
+	} else {
+		e.multi, err = sim.RunMultiContext(r.context(), cfg, srcs...)
+		out = e.multi
 	}
-	res, err := sim.RunContext(r.context(), cfg, w.Build(r.Seed))
 	if err != nil {
-		return sim.Result{}, err
+		return runEntry{}, err
 	}
-	if onResult != nil {
-		onResult(bench, spec, res)
+	if sink != nil {
+		e.log = sink.Log()
 	}
-	return res, nil
+
+	if buf != nil || onResult != nil {
+		r.outMu.Lock()
+		defer r.outMu.Unlock()
+		if buf != nil {
+			tracer.Emit(start)
+			for _, ev := range buf.events {
+				tracer.Emit(ev)
+			}
+		}
+		if onResult != nil {
+			onResult(out.Header(label, d.Seed), out.Metrics())
+		}
+	}
+	return e, nil
 }
 
 // RunCaptured is Run with an oracle capture sink attached: it returns
-// the result plus the captured access log, both memoized. If the plain
-// result is already cached but no log exists yet, the simulation re-runs
-// silently (no Trace events, no OnResult call) purely to record the
-// stream — the run is deterministic, so the result is identical and its
-// telemetry must not be emitted twice.
+// the result plus the captured access log, both memoized.
 func (r *Runner) RunCaptured(bench string, spec sim.PolicySpec) (sim.Result, *oracle.Log) {
-	e, err := r.table().DoIf(r.context(), r.key(bench, spec, 0, 0),
-		func(e runEntry) bool { return e.log != nil },
-		func(prev runEntry, cached bool) (runEntry, error) {
-			cap := oracle.NewCapture()
-			res, err := r.simulate(bench, spec, 0, 0, cap, cached)
-			if err != nil {
-				return runEntry{}, err
-			}
-			return runEntry{res: res, log: cap.Log()}, nil
-		})
-	if err != nil {
-		r.fail(err)
-		return sim.Result{}, oracle.NewCapture().Log()
-	}
+	e := r.run(runSpec{Mix: bench, Seed: r.Seed, Policy: spec}, true)
 	return e.res, e.log
 }
 

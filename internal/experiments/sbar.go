@@ -24,16 +24,31 @@ type Figure9Row struct {
 func Figure9(r *Runner) Figure9Result {
 	var out Figure9Result
 	out.Rows = forBenches(r, r.Names(), func(b string) Figure9Row {
-		base := r.Baseline(b)
-		lin := r.Run(b, sim.PolicySpec{Kind: sim.PolicyLIN, Lambda: 4})
-		sbar := r.Run(b, sim.PolicySpec{Kind: sim.PolicySBAR})
-		return Figure9Row{
-			Bench:        b,
-			LINDeltaPct:  lin.IPCDeltaPercent(base),
-			SBARDeltaPct: sbar.IPCDeltaPercent(base),
-		}
+		_, lin, sbar := r.compare(runSpec{Mix: b, Seed: r.Seed})
+		return Figure9Row{Bench: b, LINDeltaPct: lin, SBARDeltaPct: sbar}
 	})
 	return out
+}
+
+// comparison is Figure 9's policy set: the LRU baseline, LIN(4), and
+// SBAR (per-thread partitioned selector on a shared L2).
+var comparison = []sim.PolicySpec{
+	{Kind: sim.PolicyLRU},
+	{Kind: sim.PolicyLIN, Lambda: 4},
+	{Kind: sim.PolicySBAR},
+}
+
+// compare runs d under each comparison policy, in order, and returns the
+// LRU result with LIN's and SBAR's IPC deltas against it in percent:
+// Figure 9's comparison, which the sensitivity and seed sweeps repeat
+// off the Table 2 machine and the runner's seed.
+func (r *Runner) compare(d runSpec) (lru sim.Result, linPct, sbarPct float64) {
+	var res [3]sim.Result
+	for i, spec := range comparison {
+		d.Policy = spec
+		res[i] = r.run(d, false).res
+	}
+	return res[0], res[1].IPCDeltaPercent(res[0]), res[2].IPCDeltaPercent(res[0])
 }
 
 // table builds the paper-style table.
@@ -86,13 +101,11 @@ func Figure10(r *Runner) Figure10Result {
 				LeaderSets:  cfg.LeaderSets,
 				RandDynamic: cfg.RandDynamic,
 			}
-			var out sim.Result
+			d := runSpec{Mix: b, Seed: r.Seed, Policy: spec}
 			if cfg.RandDynamic {
-				out = r.RunEpoch(b, spec, epoch)
-			} else {
-				out = r.Run(b, spec)
+				d.Epoch = epoch
 			}
-			row.DeltaPct = append(row.DeltaPct, out.IPCDeltaPercent(base))
+			row.DeltaPct = append(row.DeltaPct, r.run(d, false).res.IPCDeltaPercent(base))
 		}
 		return row
 	})
@@ -134,9 +147,9 @@ func Figure11(r *Runner) Figure11Result {
 		interval = 1
 	}
 	out := Figure11Result{Bench: bench, Interval: interval, Results: map[string]sim.Result{}}
-	out.Results["lru"] = r.RunSeries(bench, sim.PolicySpec{Kind: sim.PolicyLRU}, interval)
-	out.Results["lin"] = r.RunSeries(bench, sim.PolicySpec{Kind: sim.PolicyLIN, Lambda: 4}, interval)
-	out.Results["sbar"] = r.RunSeries(bench, sim.PolicySpec{Kind: sim.PolicySBAR}, interval)
+	for i, name := range []string{"lru", "lin", "sbar"} {
+		out.Results[name] = r.run(runSpec{Mix: bench, Seed: r.Seed, Policy: comparison[i], Interval: interval}, false).res
+	}
 	return out
 }
 

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
 	"mlpcache/internal/sim"
-	"mlpcache/internal/simerr"
-	"mlpcache/internal/workload"
 )
 
 // Sensitivity studies in the spirit of the paper's Section 7 (the
@@ -34,95 +33,91 @@ type SensitivityResult struct {
 // sensBenches are the representative benchmarks each sweep runs.
 var sensBenches = []string{"mcf", "parser"}
 
-// runSensPoint simulates one benchmark at one configuration under LRU,
-// LIN(4) and SBAR.
-func runSensPoint(instructions, seed uint64, param, value, bench string,
-	mutate func(*sim.Config)) SensitivityPoint {
+// A knob is one Table 2 machine parameter the sweeps vary.
+type knob struct {
+	name   string // the sweep's parameter, as tables and run labels print it
+	format string // prints a value with its unit
+	set    func(*sim.Config, uint64)
+}
 
-	w, ok := workload.ByName(bench)
-	if !ok {
-		panic(simerr.New(simerr.ErrUnknownBenchmark, "experiments: unknown benchmark %q", bench))
+// value prints v in the knob's unit ("512KB").
+func (k knob) value(v uint64) string { return fmt.Sprintf(k.format, v) }
+
+// Knob indices, into knobs and machine.
+const (
+	memLatency = iota
+	l2Size
+	mshrEntries
+	windowSize
+)
+
+var knobs = [...]knob{
+	memLatency:  {"memory latency", "%d cycles", func(c *sim.Config, v uint64) { c.DRAM.AccessCycles = v }},
+	l2Size:      {"L2 size", "%dKB", func(c *sim.Config, v uint64) { c.L2.SizeBytes = v * 1024 }},
+	mshrEntries: {"MSHR entries", "%d", func(c *sim.Config, v uint64) { c.MSHR.Entries = int(v) }},
+	windowSize:  {"window size", "%d", func(c *sim.Config, v uint64) { c.CPU.ROBEntries = int(v) }},
+}
+
+// A machine holds a value per knob; zero keeps the knob's value on the
+// paper's Table 2 machine (sim.DefaultConfig).
+type machine [len(knobs)]uint64
+
+// resolve drops every value that leaves sim.DefaultConfig unchanged, so
+// a sweep's Table 2 point and an unswept run describe one simulation.
+func (m machine) resolve() machine {
+	def := sim.DefaultConfig()
+	for i, k := range knobs {
+		cfg := def
+		k.set(&cfg, m[i])
+		if reflect.DeepEqual(cfg, def) {
+			m[i] = 0
+		}
 	}
-	run := func(spec sim.PolicySpec) sim.Result {
-		cfg := sim.DefaultConfig()
-		cfg.MaxInstructions = instructions
-		cfg.Policy = spec
-		mutate(&cfg)
-		return sim.MustRun(cfg, w.Build(seed))
+	return m
+}
+
+// sweep runs sensBenches under LRU, LIN(4) and SBAR at each value of
+// one knob, the rest of the machine at Table 2.
+func sweep(r *Runner, k int, values ...uint64) SensitivityResult {
+	res := SensitivityResult{Param: knobs[k].name}
+	for _, v := range values {
+		var m machine
+		m[k] = v
+		res.Points = append(res.Points, forBenches(r, sensBenches, func(b string) SensitivityPoint {
+			lru, lin, sbar := r.compare(runSpec{Mix: b, Seed: r.Seed, Machine: m})
+			return SensitivityPoint{Param: res.Param, Value: knobs[k].value(v), Bench: b,
+				LRUIPC: lru.IPC, LINPct: lin, SBARPct: sbar}
+		})...)
 	}
-	lru := run(sim.PolicySpec{Kind: sim.PolicyLRU})
-	lin := run(sim.PolicySpec{Kind: sim.PolicyLIN, Lambda: 4})
-	sbar := run(sim.PolicySpec{Kind: sim.PolicySBAR})
-	return SensitivityPoint{
-		Param: param, Value: value, Bench: bench,
-		LRUIPC:  lru.IPC,
-		LINPct:  lin.IPCDeltaPercent(lru),
-		SBARPct: sbar.IPCDeltaPercent(lru),
-	}
+	return res
 }
 
 // SensitivityMemLatency sweeps the DRAM access latency: longer memory
 // raises the price of an isolated miss linearly, so LIN's wins and
 // losses both scale with it.
 func SensitivityMemLatency(r *Runner) SensitivityResult {
-	res := SensitivityResult{Param: "memory latency"}
-	for _, lat := range []uint64{200, 400, 800} {
-		for _, b := range sensBenches {
-			res.Points = append(res.Points, runSensPoint(
-				r.Instructions, r.Seed, res.Param,
-				fmt.Sprintf("%d cycles", lat), b,
-				func(c *sim.Config) { c.DRAM.AccessCycles = lat }))
-		}
-	}
-	return res
+	return sweep(r, memLatency, 200, 400, 800)
 }
 
 // SensitivityCacheSize sweeps the L2 capacity. A larger cache softens
 // thrash (less for LIN to win) and dilutes pollution (less for LIN to
 // lose); a smaller one sharpens both.
 func SensitivityCacheSize(r *Runner) SensitivityResult {
-	res := SensitivityResult{Param: "L2 size"}
-	for _, kb := range []uint64{512, 1024, 2048} {
-		for _, b := range sensBenches {
-			res.Points = append(res.Points, runSensPoint(
-				r.Instructions, r.Seed, res.Param,
-				fmt.Sprintf("%dKB", kb), b,
-				func(c *sim.Config) { c.L2.SizeBytes = kb * 1024 }))
-		}
-	}
-	return res
+	return sweep(r, l2Size, 512, 1024, 2048)
 }
 
 // SensitivityMSHR sweeps the miss-file size, which caps achievable MLP:
 // with few MSHRs even "parallel" misses serialize, compressing the cost
 // non-uniformity the whole mechanism feeds on.
 func SensitivityMSHR(r *Runner) SensitivityResult {
-	res := SensitivityResult{Param: "MSHR entries"}
-	for _, entries := range []int{8, 32, 64} {
-		for _, b := range sensBenches {
-			res.Points = append(res.Points, runSensPoint(
-				r.Instructions, r.Seed, res.Param,
-				fmt.Sprintf("%d", entries), b,
-				func(c *sim.Config) { c.MSHR.Entries = entries }))
-		}
-	}
-	return res
+	return sweep(r, mshrEntries, 8, 32, 64)
 }
 
 // SensitivityWindow sweeps the instruction window, the other MLP limiter:
 // a small window cannot overlap misses, so everything drifts toward
 // isolated cost.
 func SensitivityWindow(r *Runner) SensitivityResult {
-	res := SensitivityResult{Param: "window size"}
-	for _, entries := range []int{32, 128, 256} {
-		for _, b := range sensBenches {
-			res.Points = append(res.Points, runSensPoint(
-				r.Instructions, r.Seed, res.Param,
-				fmt.Sprintf("%d", entries), b,
-				func(c *sim.Config) { c.CPU.ROBEntries = entries }))
-		}
-	}
-	return res
+	return sweep(r, windowSize, 32, 128, 256)
 }
 
 // table builds the sweep table.

@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"mlpcache/internal/sim"
-	"mlpcache/internal/simerr"
-	"mlpcache/internal/workload"
-)
+import "fmt"
 
 // Seed-stability check: the workloads are synthetic, so a fair question
 // is whether the reproduced effects are properties of the models or of a
@@ -34,25 +28,13 @@ var stabilityBenches = []string{"mcf", "parser", "ammp"}
 // Stability runs the three-policy comparison across three seeds.
 func Stability(r *Runner) StabilityResult {
 	res := StabilityResult{Seeds: []uint64{r.Seed, r.Seed + 101, r.Seed + 202}}
-	for _, b := range stabilityBenches {
-		w, ok := workload.ByName(b)
-		if !ok {
-			panic(simerr.New(simerr.ErrUnknownBenchmark, "experiments: unknown benchmark %q", b))
-		}
+	res.Rows = forBenches(r, stabilityBenches, func(b string) StabilityRow {
 		row := StabilityRow{Bench: b, SignStable: true}
 		var linDeltas, sbarDeltas []float64
 		for _, seed := range res.Seeds {
-			run := func(spec sim.PolicySpec) sim.Result {
-				cfg := sim.DefaultConfig()
-				cfg.MaxInstructions = r.Instructions
-				cfg.Policy = spec
-				return sim.MustRun(cfg, w.Build(seed))
-			}
-			base := run(sim.PolicySpec{Kind: sim.PolicyLRU})
-			lin := run(sim.PolicySpec{Kind: sim.PolicyLIN, Lambda: 4})
-			sbar := run(sim.PolicySpec{Kind: sim.PolicySBAR})
-			linDeltas = append(linDeltas, lin.IPCDeltaPercent(base))
-			sbarDeltas = append(sbarDeltas, sbar.IPCDeltaPercent(base))
+			_, lin, sbar := r.compare(runSpec{Mix: b, Seed: seed})
+			linDeltas = append(linDeltas, lin)
+			sbarDeltas = append(sbarDeltas, sbar)
 		}
 		row.LINMean, row.LINMin, row.LINMax = summarize(linDeltas)
 		row.SBARMean, row.SBARMin, row.SBARMax = summarize(sbarDeltas)
@@ -62,8 +44,8 @@ func Stability(r *Runner) StabilityResult {
 				row.SignStable = false
 			}
 		}
-		res.Rows = append(res.Rows, row)
-	}
+		return row
+	})
 	return res
 }
 

@@ -89,7 +89,7 @@ func (s *Server) computeExperiment(ctx context.Context, j Job) ([]byte, error) {
 	r.Context = ctx
 	r.Capacity = s.cfg.CacheCapacity
 	var buf bytes.Buffer
-	if err := experiments.RunByIDJSON(r, j.Experiment, &buf); err != nil {
+	if err := experiments.RunByID(r, j.Experiment, "json", &buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -110,7 +110,7 @@ func (j *Job) Validate(cfg Config) error {
 			return simerr.New(simerr.ErrBadConfig,
 				"service: a job names either an experiment or a bench, not both")
 		}
-		if !knownExperiment(j.Experiment) {
+		if !experiments.Known(j.Experiment) {
 			return simerr.New(simerr.ErrBadConfig,
 				"service: unknown experiment %q (known: %v plus %v)",
 				j.Experiment, experiments.AllIDs(), experiments.SensitivityIDs())
@@ -135,17 +135,6 @@ func (j *Job) Validate(cfg Config) error {
 		return simerr.New(simerr.ErrBadConfig, "service: unknown policy %q", j.Policy)
 	}
 	return nil
-}
-
-func knownExperiment(id string) bool {
-	for _, known := range [][]string{experiments.AllIDs(), experiments.SensitivityIDs()} {
-		for _, k := range known {
-			if k == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // deadline resolves the job's effective wall-time bound.

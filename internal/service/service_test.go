@@ -139,13 +139,18 @@ func TestCacheEviction(t *testing.T) {
 // simulation with the typed sentinel.
 func TestDeadlineCancelsJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	out := s.Submit(context.Background(),
-		Job{Bench: "mcf", Instructions: 40_000_000, DeadlineMS: 30})
-	if !errors.Is(out.Err, simerr.ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", out.Err)
-	}
-	if c := s.Snapshot(); c.Cancelled != 1 {
-		t.Fatalf("cancelled counter = %d, want 1", c.Cancelled)
+	for i, j := range []Job{
+		{Bench: "mcf", Instructions: 40_000_000, DeadlineMS: 30},
+		{Experiment: "sens-mem", Instructions: 2_000_000, DeadlineMS: 30},
+		{Experiment: "stab", Instructions: 2_000_000, DeadlineMS: 30},
+	} {
+		out := s.Submit(context.Background(), j)
+		if !errors.Is(out.Err, simerr.ErrCancelled) {
+			t.Fatalf("%+v: err = %v, want ErrCancelled", j, out.Err)
+		}
+		if c := s.Snapshot(); c.Cancelled != uint64(i+1) {
+			t.Fatalf("%+v: cancelled counter = %d, want %d", j, c.Cancelled, i+1)
+		}
 	}
 }
 
