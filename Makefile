@@ -75,12 +75,11 @@ bench-check:
 # bench-record snapshots the perf-trajectory suite into BENCH_PR10.json
 # (instr/s, host-calibrated instr/s, ns/op, allocs/op per benchmark;
 # medians of eight passes). The snapshot is committed so bench-compare
-# has a fixed reference; any pre_pr5_baseline / prior_baselines
-# sections already in the file are preserved, and the PR9 snapshot is
-# folded in as a prior baseline so the cross-PR trajectory stays in one
-# document.
+# has a fixed reference; the pre_pr5_baseline and prior_baselines
+# sections already in the file (the PR 5-9 snapshots) are preserved, so
+# the cross-PR trajectory stays in one document.
 bench-record:
-	$(GO) run ./tools/benchjson -record -out BENCH_PR10.json -prior pr9=BENCH_PR9.json
+	$(GO) run ./tools/benchjson -record -out BENCH_PR10.json
 
 # bench-compare re-runs the suite and fails on a >10% drop in instr/s
 # calibrated by a reference loop timed around each benchmark, relative

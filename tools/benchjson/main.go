@@ -6,10 +6,7 @@
 //
 //   - -record writes the snapshot (BENCH_PR10.json by convention),
 //     preserving any pre_pr5_baseline and prior_baselines sections
-//     already in the file so the before/after story survives re-records;
-//     -prior name=path folds an earlier snapshot's benchmarks in under
-//     prior_baselines (e.g. -prior pr9=BENCH_PR9.json keeps that
-//     snapshot's figures in the new file).
+//     already in the file so the before/after story survives re-records.
 //   - -compare re-runs the suite and fails when a benchmark disappears,
 //     when any calibrated instr/s figure drops more than -threshold
 //     percent after machine-speed normalization (see below), or when
@@ -120,8 +117,8 @@ type Snapshot struct {
 	Benchtime string            `json:"benchtime"`
 	PreBase   map[string]Sample `json:"pre_pr5_baseline,omitempty"`
 	// Prior holds earlier snapshots' benchmark sections keyed by a short
-	// label (-prior pr5=BENCH_PR5.json), preserving the cross-PR
-	// trajectory inside the current file. Informational, never gated.
+	// label (pr5 … pr9), preserving the cross-PR trajectory inside the
+	// current file. Informational, never gated.
 	Prior      map[string]map[string]Sample `json:"prior_baselines,omitempty"`
 	Benchmarks map[string]Sample            `json:"benchmarks"`
 }
@@ -132,7 +129,6 @@ func main() {
 		compare   = flag.Bool("compare", false, "run the suite and gate against the snapshot")
 		out       = flag.String("out", "BENCH_PR10.json", "snapshot path for -record")
 		baseline  = flag.String("baseline", "BENCH_PR10.json", "snapshot path for -compare")
-		prior     = flag.String("prior", "", "name=path of an earlier snapshot to fold into prior_baselines (with -record)")
 		note      = flag.String("note", "", "free-form note stored in the snapshot")
 		count     = flag.Int("count", 8, "full passes over the suite; each figure is their median")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value")
@@ -145,7 +141,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: exactly one of -record or -compare is required")
 		os.Exit(2)
 	case *record:
-		if err := doRecord(*out, *prior, *note, *count, *benchtime); err != nil {
+		if err := doRecord(*out, *note, *count, *benchtime); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
@@ -265,7 +261,7 @@ func median(vs []float64) float64 {
 	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
-func doRecord(out, prior, note string, count int, benchtime string) error {
+func doRecord(out, note string, count int, benchtime string) error {
 	snap := Snapshot{
 		Schema:    "mlpcache-bench/v1",
 		Go:        runtime.Version(),
@@ -283,29 +279,6 @@ func doRecord(out, prior, note string, count int, benchtime string) error {
 			if note == "" {
 				snap.Note = prev.Note
 			}
-		}
-	}
-	if prior != "" {
-		name, path, ok := strings.Cut(prior, "=")
-		if !ok || name == "" || path == "" {
-			return fmt.Errorf("-prior wants name=path, got %q", prior)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("reading -prior snapshot: %w", err)
-		}
-		var ps Snapshot
-		if err := json.Unmarshal(raw, &ps); err != nil {
-			return fmt.Errorf("parsing -prior snapshot %s: %w", path, err)
-		}
-		if snap.Prior == nil {
-			snap.Prior = make(map[string]map[string]Sample)
-		}
-		snap.Prior[name] = ps.Benchmarks
-		// An imported snapshot's own pre-optimization section is the
-		// oldest record we have; keep it.
-		if snap.PreBase == nil {
-			snap.PreBase = ps.PreBase
 		}
 	}
 	samples, err := runSuite(count, benchtime)
