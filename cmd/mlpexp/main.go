@@ -41,7 +41,7 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "comma-separated experiment ids: fig1..fig11, tab1..tab3, ovh, oracle-headroom, sens-mem, sens-cache, sens-mshr, sens-window, stab, cbs, multicore-contention, all, sens")
+		run         = flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(append(experiments.AllIDs(), experiments.SensitivityIDs()...), ", ")+"), all, or sens")
 		n           = flag.Uint64("n", 3_000_000, "instructions per simulation run")
 		seed        = flag.Uint64("seed", 42, "workload seed")
 		bench       = flag.String("bench", "", "comma-separated benchmark subset (default: all 14)")

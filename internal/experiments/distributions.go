@@ -174,3 +174,19 @@ func (f Table3Result) table() *table {
 	t.note("compulsory %% shrinks toward the paper's values as runs lengthen; the cross-benchmark ordering is the reproduced shape")
 	return t
 }
+
+// benchesByCompulsory returns the benchmark names ordered by measured
+// compulsory share (used by tests to check ordering against the paper).
+func (f Table3Result) benchesByCompulsory() []string {
+	rows := append([]Table3Row(nil), f.Rows...)
+	for i := 1; i < len(rows); i++ {
+		for j := i; j > 0 && rows[j].CompulsoryPct < rows[j-1].CompulsoryPct; j-- {
+			rows[j], rows[j-1] = rows[j-1], rows[j]
+		}
+	}
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Bench
+	}
+	return names
+}

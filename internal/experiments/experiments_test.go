@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlpcache/internal/metrics"
 	"mlpcache/internal/sim"
 	"mlpcache/internal/simerr"
 )
@@ -167,7 +168,22 @@ func TestSensitivityAndStabilitySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	// With every telemetry channel on: the sweeps and the multi-core
+	// study run through the runner, snapshots included where sim
+	// supports them.
 	r := NewRunner(150_000, 7)
+	var starts, snapshots int
+	r.Trace = metrics.FuncTracer(func(ev metrics.Event) {
+		switch ev.Type {
+		case metrics.EventRunStart:
+			starts++
+		case metrics.EventSnapshotIPC:
+			snapshots++
+		}
+	})
+	r.SnapshotInterval = 50_000
+	var docs int
+	r.OnResult = func(metrics.RunHeader, *metrics.Registry) { docs++ }
 	for _, id := range SensitivityIDs() {
 		var buf bytes.Buffer
 		if err := RunByID(r, id, "text", &buf); err != nil {
@@ -176,6 +192,9 @@ func TestSensitivityAndStabilitySmoke(t *testing.T) {
 		if buf.Len() == 0 {
 			t.Fatalf("%s rendered nothing", id)
 		}
+	}
+	if docs != 94 || starts != 94 || snapshots == 0 {
+		t.Fatalf("%d metrics documents, %d run.start events, %d snapshots; want 94, 94 and some", docs, starts, snapshots)
 	}
 }
 
@@ -223,20 +242,4 @@ func TestTable3CompulsoryOrdering(t *testing.T) {
 			}
 		}
 	}
-}
-
-// benchesByCompulsory returns the benchmark names ordered by measured
-// compulsory share, to check the ordering against the paper's.
-func (f Table3Result) benchesByCompulsory() []string {
-	rows := append([]Table3Row(nil), f.Rows...)
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].CompulsoryPct < rows[j-1].CompulsoryPct; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
-	names := make([]string, len(rows))
-	for i, r := range rows {
-		names[i] = r.Bench
-	}
-	return names
 }

@@ -36,10 +36,10 @@ var registry = []experiment{
 	{"ovh", "all", func(*Runner) *table { return OverheadReport().table() }},
 	{"oracle-headroom", "all", func(r *Runner) *table { return OracleHeadroom(r).table() }},
 	{"learned-headroom", "all", func(r *Runner) *table { return LearnedHeadroom(r).table() }},
-	{"sens-mem", "sens", func(r *Runner) *table { return SensitivityMemLatency(r).table() }},
-	{"sens-cache", "sens", func(r *Runner) *table { return SensitivityCacheSize(r).table() }},
-	{"sens-mshr", "sens", func(r *Runner) *table { return SensitivityMSHR(r).table() }},
-	{"sens-window", "sens", func(r *Runner) *table { return SensitivityWindow(r).table() }},
+	{"sens-mem", "sens", func(r *Runner) *table { return sweep(r, memLatency).table() }},
+	{"sens-cache", "sens", func(r *Runner) *table { return sweep(r, l2Size).table() }},
+	{"sens-mshr", "sens", func(r *Runner) *table { return sweep(r, mshrEntries).table() }},
+	{"sens-window", "sens", func(r *Runner) *table { return sweep(r, windowSize).table() }},
 	{"stab", "sens", func(r *Runner) *table { return Stability(r).table() }},
 	{"cbs", "sens", func(r *Runner) *table { return CBSComparison(r).table() }},
 	{"multicore-contention", "sens", func(r *Runner) *table { return MulticoreContention(r).table() }},
@@ -70,12 +70,6 @@ func AllIDs() []string { return groupIDs("all") }
 // SensitivityIDs returns the extension sweeps plus the multi-core
 // contention study: what mlpexp -run sens runs.
 func SensitivityIDs() []string { return groupIDs("sens") }
-
-// Known reports whether id names an experiment.
-func Known(id string) bool {
-	_, ok := lookup(id)
-	return ok
-}
 
 func lookup(id string) (experiment, bool) {
 	for _, e := range registry {

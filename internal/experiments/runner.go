@@ -60,10 +60,11 @@ type Runner struct {
 	Capacity int
 
 	// Context, when non-nil, cancels in-flight and future simulations:
-	// each run polls it via sim.RunContext. The first cancellation is
-	// recorded and reported by Err, and the experiment builder unwinds
-	// immediately (RunByID and friends return the error instead of a
-	// partial table). The mlpexp -timeout flag wires a deadline here.
+	// each run polls it via sim.RunContext or sim.RunMultiContext. The
+	// first cancellation is recorded and reported by Err, and the
+	// experiment builder unwinds immediately (RunByID returns the error
+	// instead of a partial table). The mlpexp -timeout flag wires a
+	// deadline here.
 	Context context.Context
 
 	// Trace, when non-nil, is installed as every fresh simulation's
@@ -79,8 +80,8 @@ type Runner struct {
 	// nothing — their events were already streamed.
 	Trace metrics.Tracer
 	// SnapshotInterval, when non-zero and Trace is set, makes every
-	// fresh simulation emit the snapshot.* gauge family through the
-	// tracer every that many retired instructions (the mlpexp
+	// fresh single-core simulation emit the snapshot.* gauge family
+	// through the tracer every that many retired instructions (the mlpexp
 	// -snapshot-interval flag; see sim.Config.SnapshotInterval). It
 	// does not alter results, so memoization keys ignore it.
 	SnapshotInterval uint64
@@ -150,7 +151,9 @@ func NewRunner(instructions, seed uint64) *Runner {
 // table returns the memo cache, building it on first use with the
 // configured Capacity.
 func (r *Runner) table() *rescache.Cache[runEntry] {
-	r.memoOnce.Do(func() { r.memo = rescache.New[runEntry](r.Capacity) })
+	r.memoOnce.Do(func() {
+		r.memo = rescache.New[runEntry](r.Capacity)
+	})
 	return r.memo
 }
 
@@ -360,11 +363,6 @@ func (r *Runner) putArena(a *sim.Arena) {
 	r.arenaMu.Unlock()
 }
 
-// bufTracer collects one concurrent run's events for contiguous replay.
-type bufTracer struct{ events []metrics.Event }
-
-func (b *bufTracer) Emit(ev metrics.Event) { b.events = append(b.events, ev) }
-
 // simulate executes one fresh simulation: one benchmark through
 // sim.RunContext, a mix through sim.RunMultiContext. capture attaches an
 // oracle capture sink; silent suppresses Trace and OnResult — used when
@@ -404,21 +402,26 @@ func (r *Runner) simulate(d runSpec, capture, silent bool) (runEntry, error) {
 	defer r.putArena(arena)
 	cfg.Arena = arena
 
-	tracer, onResult := r.Trace, r.OnResult
+	tracer := r.Trace
+	onResult := r.OnResult
 	if silent {
 		tracer, onResult = nil, nil
 	}
 	label := r.label(d)
 	start := metrics.Event{Type: metrics.EventRunStart, Label: label, Policy: d.Policy.String()}
-	var buf *bufTracer
+	buffered := tracer != nil && r.workers() > 1
+	var events []metrics.Event
 	if tracer != nil {
-		cfg.SnapshotInterval = r.SnapshotInterval
-		if r.workers() > 1 {
+		if len(srcs) == 1 {
+			// Snapshots have no N-core meaning yet; sim refuses them
+			// on a mix (docs/MULTICORE.md).
+			cfg.SnapshotInterval = r.SnapshotInterval
+		}
+		if buffered {
 			// Buffer events so concurrent runs' streams don't
 			// interleave; they are replayed contiguously behind
 			// run.start under the output lock below.
-			buf = &bufTracer{}
-			cfg.Trace = buf
+			cfg.Trace = metrics.FuncTracer(func(ev metrics.Event) { events = append(events, ev) })
 		} else {
 			tracer.Emit(start)
 			cfg.Trace = tracer
@@ -444,12 +447,12 @@ func (r *Runner) simulate(d runSpec, capture, silent bool) (runEntry, error) {
 		e.log = sink.Log()
 	}
 
-	if buf != nil || onResult != nil {
+	if buffered || onResult != nil {
 		r.outMu.Lock()
 		defer r.outMu.Unlock()
-		if buf != nil {
+		if buffered {
 			tracer.Emit(start)
-			for _, ev := range buf.events {
+			for _, ev := range events {
 				tracer.Emit(ev)
 			}
 		}

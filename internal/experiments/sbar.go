@@ -30,8 +30,9 @@ func Figure9(r *Runner) Figure9Result {
 	return out
 }
 
-// comparison is Figure 9's policy set: the LRU baseline, LIN(4), and
-// SBAR (per-thread partitioned selector on a shared L2).
+// comparison is the policy set Figure 9, the sweeps and the contention
+// study compare: the LRU baseline, LIN(4), and SBAR (with one selector
+// per thread when cores share the L2).
 var comparison = []sim.PolicySpec{
 	{Kind: sim.PolicyLRU},
 	{Kind: sim.PolicyLIN, Lambda: 4},

@@ -35,8 +35,9 @@ var sensBenches = []string{"mcf", "parser"}
 
 // A knob is one Table 2 machine parameter the sweeps vary.
 type knob struct {
-	name   string // the sweep's parameter, as tables and run labels print it
-	format string // prints a value with its unit
+	name   string   // the sweep's parameter, as tables and run labels print it
+	format string   // prints a value with its unit
+	values []uint64 // the values its sweep visits
 	set    func(*sim.Config, uint64)
 }
 
@@ -52,10 +53,22 @@ const (
 )
 
 var knobs = [...]knob{
-	memLatency:  {"memory latency", "%d cycles", func(c *sim.Config, v uint64) { c.DRAM.AccessCycles = v }},
-	l2Size:      {"L2 size", "%dKB", func(c *sim.Config, v uint64) { c.L2.SizeBytes = v * 1024 }},
-	mshrEntries: {"MSHR entries", "%d", func(c *sim.Config, v uint64) { c.MSHR.Entries = int(v) }},
-	windowSize:  {"window size", "%d", func(c *sim.Config, v uint64) { c.CPU.ROBEntries = int(v) }},
+	// sens-mem sweeps the DRAM access latency: longer memory raises the
+	// price of an isolated miss linearly, so LIN's wins and losses both
+	// scale with it.
+	memLatency: {"memory latency", "%d cycles", []uint64{200, 400, 800}, func(c *sim.Config, v uint64) { c.DRAM.AccessCycles = v }},
+	// sens-cache sweeps the L2 capacity. A larger cache softens thrash
+	// (less for LIN to win) and dilutes pollution (less for LIN to
+	// lose); a smaller one sharpens both.
+	l2Size: {"L2 size", "%dKB", []uint64{512, 1024, 2048}, func(c *sim.Config, v uint64) { c.L2.SizeBytes = v * 1024 }},
+	// sens-mshr sweeps the miss-file size, which caps achievable MLP:
+	// with few MSHRs even "parallel" misses serialize, compressing the
+	// cost non-uniformity the whole mechanism feeds on.
+	mshrEntries: {"MSHR entries", "%d", []uint64{8, 32, 64}, func(c *sim.Config, v uint64) { c.MSHR.Entries = int(v) }},
+	// sens-window sweeps the instruction window, the other MLP limiter:
+	// a small window cannot overlap misses, so everything drifts toward
+	// isolated cost.
+	windowSize: {"window size", "%d", []uint64{32, 128, 256}, func(c *sim.Config, v uint64) { c.CPU.ROBEntries = int(v) }},
 }
 
 // A machine holds a value per knob; zero keeps the knob's value on the
@@ -76,48 +89,22 @@ func (m machine) resolve() machine {
 	return m
 }
 
-// sweep runs sensBenches under LRU, LIN(4) and SBAR at each value of
-// one knob, the rest of the machine at Table 2.
-func sweep(r *Runner, k int, values ...uint64) SensitivityResult {
+// sweep runs sensBenches under LRU, LIN(4) and SBAR at each of a knob's
+// values, the rest of the machine at Table 2.
+func sweep(r *Runner, k int) SensitivityResult {
 	res := SensitivityResult{Param: knobs[k].name}
-	for _, v := range values {
+	for _, v := range knobs[k].values {
 		var m machine
 		m[k] = v
 		res.Points = append(res.Points, forBenches(r, sensBenches, func(b string) SensitivityPoint {
 			lru, lin, sbar := r.compare(runSpec{Mix: b, Seed: r.Seed, Machine: m})
-			return SensitivityPoint{Param: res.Param, Value: knobs[k].value(v), Bench: b,
-				LRUIPC: lru.IPC, LINPct: lin, SBARPct: sbar}
+			return SensitivityPoint{
+				Param: res.Param, Value: knobs[k].value(v), Bench: b,
+				LRUIPC: lru.IPC, LINPct: lin, SBARPct: sbar,
+			}
 		})...)
 	}
 	return res
-}
-
-// SensitivityMemLatency sweeps the DRAM access latency: longer memory
-// raises the price of an isolated miss linearly, so LIN's wins and
-// losses both scale with it.
-func SensitivityMemLatency(r *Runner) SensitivityResult {
-	return sweep(r, memLatency, 200, 400, 800)
-}
-
-// SensitivityCacheSize sweeps the L2 capacity. A larger cache softens
-// thrash (less for LIN to win) and dilutes pollution (less for LIN to
-// lose); a smaller one sharpens both.
-func SensitivityCacheSize(r *Runner) SensitivityResult {
-	return sweep(r, l2Size, 512, 1024, 2048)
-}
-
-// SensitivityMSHR sweeps the miss-file size, which caps achievable MLP:
-// with few MSHRs even "parallel" misses serialize, compressing the cost
-// non-uniformity the whole mechanism feeds on.
-func SensitivityMSHR(r *Runner) SensitivityResult {
-	return sweep(r, mshrEntries, 8, 32, 64)
-}
-
-// SensitivityWindow sweeps the instruction window, the other MLP limiter:
-// a small window cannot overlap misses, so everything drifts toward
-// isolated cost.
-func SensitivityWindow(r *Runner) SensitivityResult {
-	return sweep(r, windowSize, 32, 128, 256)
 }
 
 // table builds the sweep table.

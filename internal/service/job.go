@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"time"
 
 	"mlpcache/internal/experiments"
@@ -110,7 +111,7 @@ func (j *Job) Validate(cfg Config) error {
 			return simerr.New(simerr.ErrBadConfig,
 				"service: a job names either an experiment or a bench, not both")
 		}
-		if !experiments.Known(j.Experiment) {
+		if !slices.Contains(append(experiments.AllIDs(), experiments.SensitivityIDs()...), j.Experiment) {
 			return simerr.New(simerr.ErrBadConfig,
 				"service: unknown experiment %q (known: %v plus %v)",
 				j.Experiment, experiments.AllIDs(), experiments.SensitivityIDs())
