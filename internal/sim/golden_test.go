@@ -51,14 +51,6 @@ func goldenCases() []goldenCase {
 		}
 	}
 
-	sources := func(names ...string) []trace.Source {
-		srcs := make([]trace.Source, len(names))
-		for i, name := range names {
-			spec, _ := workload.ByName(name)
-			srcs[i] = spec.Build(42 + uint64(i))
-		}
-		return srcs
-	}
 	mixes := []struct {
 		label  string
 		names  []string
@@ -107,7 +99,122 @@ func goldenCases() []goldenCase {
 		}
 	}
 
-	return append(cases, featureCases()...)
+	cases = append(cases, featureCases()...)
+	cases = append(cases, quadCases()...)
+	return append(cases, exitCases()...)
+}
+
+// quadCases pins the four-core run under each condition that decides
+// which cores the cycle loop steps and when: an audited run traced
+// through the v2 tracer (its event bytes digested next to the result),
+// a two-entry MSHR whose rejects keep cores busy retrying, the
+// time-shared MSHR adders, rand-dynamic SBAR with epochs, and a core
+// whose source ends after 5,000 instructions and idles to the end.
+func quadCases() []goldenCase {
+	quad := func() []trace.Source { return sources("mcf", "art", "parser", "equake") }
+	sbar := PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}
+	base := func(p PolicySpec) Config {
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = 50_000
+		cfg.Policy = p
+		return cfg
+	}
+	return []goldenCase{
+		{"quad/audit-trace", func() (any, error) {
+			cfg := base(sbar)
+			cfg.Audit = true
+			cfg.AuditEvery = 4096
+			var buf bytes.Buffer
+			tr := metrics.NewBinaryTracer(&buf, metrics.RunHeader{Bench: "mcf+art+parser+equake", Policy: sbar.String(), Seed: 42})
+			cfg.Trace = tr
+			res, err := RunMulti(cfg, quad()...)
+			if err == nil {
+				err = tr.Flush()
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			return struct {
+				Res    MultiResult
+				Len    int
+				Digest uint64
+			}{res, buf.Len(), h.Sum64()}, err
+		}},
+		{"quad/mshr-entries-2", func() (any, error) {
+			cfg := base(sbar)
+			cfg.MSHR.Entries = 2
+			res, err := RunMulti(cfg, quad()...)
+			if err == nil && res.Cores[0].CPU.MSHRRejects == 0 {
+				err = fmt.Errorf("no MSHR rejects on core 0: %+v", res.Cores[0].CPU)
+			}
+			return res, err
+		}},
+		{"quad/mshr-adders-2", func() (any, error) {
+			cfg := base(sbar)
+			cfg.MSHR.Adders = 2
+			return RunMulti(cfg, quad()...)
+		}},
+		{"quad/rand-sbar-epochs", func() (any, error) {
+			cfg := base(PolicySpec{Kind: PolicySBAR, Seed: 7, RandDynamic: true})
+			cfg.EpochInstructions = 25_000
+			return RunMulti(cfg, quad()...)
+		}},
+		{"quad/early-finish", func() (any, error) {
+			srcs := quad()
+			srcs[1] = trace.NewLimit(srcs[1], 5000)
+			res, err := RunMulti(base(sbar), srcs...)
+			if err == nil && res.Cores[1].Instructions != 5000 {
+				err = fmt.Errorf("core 1 retired %d instructions, want 5000", res.Cores[1].Instructions)
+			}
+			return res, err
+		}},
+	}
+}
+
+// exitCases pins the two ways a two-core run can end before every core
+// finishes, each with a core whose stall counters keep accruing to the
+// last cycle: a wedge, where core 1's window fills behind an
+// instruction of no known kind that never issues and the loop stops
+// once core 0 is done, and the cycle guard, tripped by a DRAM access
+// latency far beyond the guard's allowance for 1,000 instructions.
+func exitCases() []goldenCase {
+	sbar := PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}
+	return []goldenCase{
+		{"exit/wedged-core", func() (any, error) {
+			cfg := DefaultConfig()
+			cfg.MaxInstructions = 20_000
+			cfg.Policy = sbar
+			stuck := make([]trace.Instr, 400)
+			stuck[50].Kind = 255 // no known kind: never issues
+			spec, _ := workload.ByName("mcf")
+			res, err := RunMulti(cfg, spec.Build(42), trace.NewSliceSource(stuck))
+			if err == nil && res.Cores[1].CPU.FullWindowCycles == 0 {
+				err = fmt.Errorf("core 1 never filled its window: %+v", res.Cores[1].CPU)
+			}
+			return res, err
+		}},
+		{"exit/cycle-guard", func() (any, error) {
+			cfg := DefaultConfig()
+			cfg.MaxInstructions = 1_000
+			cfg.Policy = sbar
+			cfg.DRAM.AccessCycles = 1 << 24
+			res, err := RunMulti(cfg, sources("mcf", "art")...)
+			if err == nil && res.Cycles < 1<<24 {
+				err = fmt.Errorf("run ended at cycle %d, before the first fill", res.Cycles)
+			}
+			return res, err
+		}},
+	}
+}
+
+// sources builds one source per benchmark name, seeding the i-th with
+// 42+i.
+func sources(names ...string) []trace.Source {
+	srcs := make([]trace.Source, len(names))
+	for i, name := range names {
+		spec, _ := workload.ByName(name)
+		srcs[i] = spec.Build(42 + uint64(i))
+	}
+	return srcs
 }
 
 // mixSources builds one source per core, cycling through names and
