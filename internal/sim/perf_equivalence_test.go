@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"mlpcache/internal/audit"
 	"mlpcache/internal/cache"
+	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
 
@@ -106,13 +108,51 @@ func checkRanksAgainstReference(t *testing.T, c *cache.Cache, sets, op int) {
 
 // TestFastForwardEquivalenceSweep is the stall fast-forward's
 // equivalence proof over the audited robustness sweep: for every policy
-// in the registry on two benchmark models, a run with fast-forward
-// enabled must produce a Result bit-identical to the cycle-by-cycle
-// reference — cycles, IPC, every counter block, the cost histogram, and
-// the Figure 11 interval series — and both runs must audit clean.
+// in the registry, a run with fast-forward enabled must produce a result
+// bit-identical to the cycle-by-cycle reference, and both runs must
+// audit clean. The single-core leg runs two benchmark models and also
+// compares the Figure 11 interval series; the multi-core leg runs two
+// and four cores, and four cores with one core's source ending after
+// 5,000 instructions, so a finished core idles while the others run.
 func TestFastForwardEquivalenceSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is a long test")
+	}
+	config := func(kind PolicyKind, n uint64) Config {
+		cfg := DefaultConfig()
+		cfg.MaxInstructions = n
+		cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
+		if kind == PolicySBAR {
+			cfg.Policy.RandDynamic = true
+			cfg.EpochInstructions = 20_000
+		}
+		cfg.Audit = true
+		cfg.AuditEvery = 2048
+		return cfg
+	}
+	// equal runs cfg with and without fast-forward and compares the
+	// results with their audit reports cleared: the auditor fires per
+	// run-loop iteration, so the fast-forwarded run legitimately
+	// completes fewer passes.
+	equal := func(t *testing.T, cfg Config, run func(Config) (any, *audit.Report, error)) {
+		fast, fastAudit, err := run(cfg)
+		if err != nil {
+			t.Fatalf("fast-forward run failed: %v", err)
+		}
+		slow := cfg
+		slow.DisableFastForward = true
+		ref, refAudit, err := run(slow)
+		if err != nil {
+			t.Fatalf("reference run failed: %v", err)
+		}
+		for name, a := range map[string]*audit.Report{"fast": fastAudit, "exact": refAudit} {
+			if a == nil || !a.Ok() {
+				t.Fatalf("%s run did not audit clean: %+v", name, a)
+			}
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("fast-forward result diverges from exact:\nfast: %+v\nexact: %+v", fast, ref)
+		}
 	}
 	for _, bench := range []string{"mcf", "parser"} {
 		spec, ok := workload.ByName(bench)
@@ -120,41 +160,37 @@ func TestFastForwardEquivalenceSweep(t *testing.T) {
 			t.Fatalf("benchmark %q missing", bench)
 		}
 		for _, kind := range AllPolicies {
-			kind := kind
 			t.Run(bench+"/"+string(kind), func(t *testing.T) {
 				t.Parallel()
-				cfg := DefaultConfig()
-				cfg.MaxInstructions = 60_000
-				cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
-				if kind == PolicySBAR {
-					cfg.Policy.RandDynamic = true
-					cfg.EpochInstructions = 20_000
-				}
-				cfg.Audit = true
-				cfg.AuditEvery = 2048
+				cfg := config(kind, 60_000)
 				cfg.SampleInterval = 10_000
-				fast, err := Run(cfg, spec.Build(11))
-				if err != nil {
-					t.Fatalf("fast-forward run failed: %v", err)
-				}
-				slow := cfg
-				slow.DisableFastForward = true
-				ref, err := Run(slow, spec.Build(11))
-				if err != nil {
-					t.Fatalf("reference run failed: %v", err)
-				}
-				for name, r := range map[string]Result{"fast": fast, "exact": ref} {
-					if r.Audit == nil || !r.Audit.Ok() {
-						t.Fatalf("%s run did not audit clean: %+v", name, r.Audit)
+				equal(t, cfg, func(cfg Config) (any, *audit.Report, error) {
+					res, err := Run(cfg, spec.Build(11))
+					rep := res.Audit
+					res.Audit = nil
+					return res, rep, err
+				})
+			})
+		}
+	}
+	for _, shape := range []struct {
+		name  string
+		cores int
+		short bool // core 1's source ends after 5,000 instructions
+	}{{"2core", 2, false}, {"4core", 4, false}, {"4core-short", 4, true}} {
+		for _, kind := range AllPolicies {
+			t.Run(shape.name+"/"+string(kind), func(t *testing.T) {
+				t.Parallel()
+				equal(t, config(kind, 25_000), func(cfg Config) (any, *audit.Report, error) {
+					srcs := mixSources([]string{"mcf", "parser"}, shape.cores)
+					if shape.short {
+						srcs[1] = trace.NewLimit(srcs[1], 5000)
 					}
-				}
-				// The auditor fires per run-loop iteration, so the
-				// fast-forwarded run legitimately completes fewer
-				// passes; everything else must match exactly.
-				fast.Audit, ref.Audit = nil, nil
-				if !reflect.DeepEqual(fast, ref) {
-					t.Fatalf("fast-forward result diverges from exact:\nfast: %+v\nexact: %+v", fast, ref)
-				}
+					res, err := RunMulti(cfg, srcs...)
+					rep := res.Audit
+					res.Audit = nil
+					return res, rep, err
+				})
 			})
 		}
 	}
