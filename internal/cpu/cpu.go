@@ -92,9 +92,11 @@ func (c Config) Validate() error {
 // MemSystem is the data-memory interface the core issues to.
 type MemSystem interface {
 	// Access starts a load (write=false) or store (write=true) at cycle
-	// now. It returns the access's completion cycle. accepted=false
-	// signals a structural hazard (MSHR full); the core retries the
-	// instruction on a later cycle.
+	// now. It returns the access's completion cycle, which is final:
+	// nothing the memory system does later moves it, so the core never
+	// has to be told of a completion. accepted=false signals a
+	// structural hazard (MSHR full); the core retries the instruction on
+	// a later cycle.
 	Access(addr uint64, write bool, now uint64) (done uint64, accepted bool)
 }
 
@@ -407,9 +409,9 @@ func (c *CPU) Cycle(now uint64) int {
 	return retired
 }
 
-// NoteSkipped attributes n cycles the run loop skipped (because DidWork
-// was false) to the stall statistics the skipped cycles would have
-// accrued one by one.
+// NoteSkipped attributes n cycles in which the run loop did not step
+// the core (DidWork was false and NextEvent had not come) to the stall
+// statistics those cycles would have accrued one by one.
 func (c *CPU) NoteSkipped(n uint64) {
 	if c.inMemStall {
 		c.stats.MemStallCycles += n
@@ -425,17 +427,24 @@ func (c *CPU) NoteSkipped(n uint64) {
 }
 
 // DidWork reports whether the last Cycle retired, issued or fetched
-// anything. When it returns false, no core state can change before
-// NextEvent, so the run loop may skip ahead.
+// anything, or tried an access that was refused (MSHR or store buffer
+// full), which it retries next cycle. When it returns false, no core
+// state can change before NextEvent: the state changes only inside the
+// core's own Cycle, and nothing another core or the memory side does
+// reaches it, since Access fixed every completion cycle when it
+// returned. The run loop may leave the core asleep until NextEvent and
+// credit the cycles in between with NoteSkipped.
 func (c *CPU) DidWork() bool { return c.didWork }
 
 // NextEvent returns the earliest future cycle (strictly after now) at
 // which core-visible state can change: a pending completion, a store
 // buffer drain, or a fetch redirect. It returns ^uint64(0) if no such
-// event is scheduled. now is the cycle last passed to Cycle, which left
-// only completions after now in flight. The earliest completion is the
-// first non-empty wheel bucket after that cycle, found with one rotate
-// of wheelMask, or the far heap's top if that comes first.
+// event is scheduled. The core's own schedule is the whole answer:
+// nothing another core or the memory side does can change this core's
+// state before that cycle. now is the cycle last passed to Cycle, which
+// left only completions after now in flight. The earliest completion is
+// the first non-empty wheel bucket after that cycle, found with one
+// rotate of wheelMask, or the far heap's top if that comes first.
 func (c *CPU) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
 	if c.wheelMask != 0 {

@@ -199,9 +199,12 @@ type Config struct {
 	// cycle before delivery. A nil tracer costs one predictable branch
 	// per potential emit site.
 	Trace metrics.Tracer
-	// DisableFastForward forces strict cycle-by-cycle simulation. The
-	// fast-forward optimization is exact (tests assert equivalence), so
-	// this exists only for those tests and for debugging.
+	// DisableFastForward forces strict cycle-by-cycle simulation: every
+	// core is stepped every cycle. By default an idle core sleeps until
+	// its next event and the loop jumps over cycles in which no core
+	// works. Both are exact (tests assert equivalence on one, two and
+	// four cores), so this exists only for those tests and for
+	// debugging.
 	DisableFastForward bool
 	// Prefetch enables an L2 stride prefetcher (nil: off, the paper's
 	// baseline). Prefetch requests occupy MSHR entries as non-demand

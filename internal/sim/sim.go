@@ -266,9 +266,16 @@ func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem,
 	if done != nil {
 		nextCancel = cancelCheckCycles
 	}
-	// Each cycle: the memory side ticks, then every core runs in index
-	// order, then the run-level instruments (fault throttle, auditor,
-	// series, snapshots, epochs) observe the cycle's retirement.
+	// Each cycle: the memory side ticks, then every core whose wake has
+	// come runs in index order, then the run-level instruments (fault
+	// throttle, auditor, series, snapshots, epochs) observe the cycle's
+	// retirement. A core that worked runs again next cycle; one that did
+	// not sleeps until its NextEvent, since nothing can change its state
+	// before then, and the cycles it sleeps are credited to its stall
+	// counters when it next runs or the loop ends. When no core worked,
+	// the loop jumps to the earliest wake or DRAM fill, so it visits the
+	// same cycles, and Tick runs on the same cycles, as a loop that
+	// stepped every core.
 	for now = 1; now <= maxCycles; now++ {
 		if now >= nextCancel {
 			select {
@@ -285,10 +292,20 @@ func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem,
 		anyWork := false
 		for i := range m.ports {
 			p := &m.ports[i]
+			if p.wake > now {
+				continue
+			}
+			p.credit(now - 1)
 			n := uint64(p.cpu.Cycle(now))
+			p.ran = now
 			p.retired += n
 			retired += n
-			anyWork = anyWork || p.cpu.DidWork()
+			p.wake = now + 1
+			if p.cpu.DidWork() {
+				anyWork = true
+			} else if !cfg.DisableFastForward {
+				p.wake = p.cpu.NextEvent(now)
+			}
 		}
 		if capacity, due := m.inj.ThrottleDue(retired); due {
 			for i := range m.ports {
@@ -323,27 +340,28 @@ func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem,
 		if allDone && !m.drainInflight() {
 			break
 		}
-		// Fast-forward through stall cycles: when no core made progress
-		// this cycle, nothing can change until the earliest completion
-		// event across the cores or the next DRAM fill. The skip is
-		// global, so every core is credited the same idle span.
+		// Fast-forward: when no core worked this cycle, nothing can
+		// change before the earliest core wake or DRAM fill.
 		if !anyWork && !cfg.DisableFastForward {
 			wake := m.nextFill()
 			for i := range m.ports {
-				if w := m.ports[i].cpu.NextEvent(now); w < wake {
-					wake = w
-				}
+				wake = min(wake, m.ports[i].wake)
 			}
 			if wake == ^uint64(0) {
 				break // wedged: nothing in flight, nothing to do
 			}
-			if wake > now+1 {
-				for i := range m.ports {
-					m.ports[i].cpu.NoteSkipped(wake - now - 1)
-				}
-				now = wake - 1
-			}
+			now = wake - 1
 		}
+	}
+	// Credit every sleeping core through the last cycle the loop
+	// covered: now after a finish or a wedge, now-1 when the cycle guard
+	// ended the loop (now is then one past that cycle).
+	through := now
+	if now > maxCycles {
+		through = now - 1
+	}
+	for i := range m.ports {
+		m.ports[i].credit(through)
 	}
 	return m, now, nil
 }
