@@ -140,11 +140,11 @@ func TestTrainingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc := learn.TrainConfig{Sets: sets, Assoc: cfg.L2.Assoc, Seed: 7}
-	a, err := learn.Train(cap.Log().TrainingSamples(), tc)
+	a, err := learn.Train(cap.Log().Blocks(), tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := learn.Train(cap.Log().TrainingSamples(), tc)
+	b, err := learn.Train(cap.Log().Blocks(), tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTrainingDeterministic(t *testing.T) {
 		t.Error("training populated no signatures")
 	}
 	tc.Seed = 8
-	c, err := learn.Train(cap.Log().TrainingSamples(), tc)
+	c, err := learn.Train(cap.Log().Blocks(), tc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		fatal(1, "%v", err)
 	}
-	model, err := learn.Train(log.TrainingSamples(), learn.TrainConfig{
+	model, err := learn.Train(log.Blocks(), learn.TrainConfig{
 		Sets:      sets,
 		Assoc:     cfg.L2.Assoc,
 		TableBits: *tableBits,

@@ -6,8 +6,9 @@ package cache
 // MLP-aware replacement; the offline LRU simulation provides the matching
 // online baseline for miss-count comparisons that do not need timing.
 // internal/oracle generalizes this engine to streams captured from live
-// runs, with per-access cost weights (oracle.Belady reproduces
-// SimulateOPT exactly on bare block streams — a golden test enforces it).
+// runs, with per-access cost weights (the OPT column of oracle.Compare
+// reproduces SimulateOPT exactly on bare block streams — a golden test
+// enforces it), and learn.Train tabulates its per-access outcomes.
 
 import "mlpcache/internal/simerr"
 

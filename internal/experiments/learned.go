@@ -83,7 +83,7 @@ func LearnedHeadroom(r *Runner) LearnedHeadroomResult {
 		})
 		bandit := oracle.ReplayOnline(log, sets, assoc, learn.NewBandit(sets, assoc, seed+5))
 
-		model, err := learn.Train(log.TrainingSamples(), learn.TrainConfig{Sets: sets, Assoc: assoc, Seed: seed + 7})
+		model, err := learn.Train(log.Blocks(), learn.TrainConfig{Sets: sets, Assoc: assoc, Seed: seed + 7})
 		if err != nil {
 			panic(err) // live geometry is valid by construction
 		}

@@ -1,16 +1,9 @@
 package learn
 
 import (
+	"mlpcache/internal/cache"
 	"mlpcache/internal/simerr"
 )
-
-// Sample is one captured L2 demand access: the block address and the
-// quantized mlp-cost its miss accrued (hits carry the resident line's
-// stored cost). internal/oracle capture logs convert 1:1.
-type Sample struct {
-	Block uint64
-	CostQ uint8
-}
 
 // TrainConfig parameterizes offline training.
 type TrainConfig struct {
@@ -21,34 +14,25 @@ type TrainConfig struct {
 	TableBits int
 	// Seed salts the signature hash; it is stored in the model so
 	// online lookups hash identically. Training is deterministic: the
-	// same samples and config produce a byte-identical model file.
+	// same blocks and config produce a byte-identical model file.
 	Seed uint64
 }
 
-// trainAcc accumulates one signature's closed generations.
+// trainAcc tallies one signature's Belady hits and misses.
 type trainAcc struct {
-	hits uint64
-	gens uint64
+	hits, misses uint64
 }
 
-// trainResident is one Belady-resident block during training replay.
-type trainResident struct {
-	block uint64
-	next  int
-	hits  uint64
-}
-
-// trainNever marks a block with no further use in the sample stream.
-const trainNever = int(^uint(0) >> 1)
-
-// Train replays the sample stream per set under Belady's optimal
-// policy and tabulates, per block signature, the mean number of hits
-// one residency generation earns: a generation opens when Belady fills
-// the block, accrues its hits, and closes when Belady evicts it (or the
-// stream ends). The table entry is the fixed-point mean (HitScale)
-// over all of a signature's generations — the quantity the online
-// Predictor spends down as hits arrive.
-func Train(samples []Sample, cfg TrainConfig) (*Model, error) {
+// Train replays the block stream under Belady's optimal policy
+// (cache.SimulateOPT) and tabulates, per block signature, the mean
+// number of hits one residency generation earns: a generation opens
+// when Belady fills the block, accrues its hits, and closes when Belady
+// evicts it (or the stream ends). Every Belady miss opens exactly one
+// generation and every hit lands in the block's open one, so the mean
+// is the signature's Belady hits over its Belady misses. The table
+// entry is that mean in fixed point (HitScale) — the quantity the
+// online Predictor spends down as hits arrive.
+func Train(blocks []uint64, cfg TrainConfig) (*Model, error) {
 	if cfg.Sets < 1 || cfg.Assoc < 1 {
 		return nil, simerr.New(simerr.ErrBadConfig, "learn: training geometry %d sets × %d ways is invalid", cfg.Sets, cfg.Assoc)
 	}
@@ -61,85 +45,25 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, error) {
 	}
 	model := NewModel(cfg.Sets, cfg.Assoc, tableBits, cfg.Seed)
 
-	// Split the stream per set, keeping stream order within each set.
-	perSet := make([][]uint64, cfg.Sets)
-	for _, s := range samples {
-		set := s.Block % uint64(cfg.Sets)
-		perSet[set] = append(perSet[set], s.Block)
-	}
-
 	acc := make(map[uint32]*trainAcc)
-	closeGen := func(block uint64, hits uint64) {
-		sig := model.signature(block)
-		a := acc[sig]
-		if a == nil {
-			a = &trainAcc{}
-			acc[sig] = a
+	for _, a := range cache.SimulateOPT(blocks, cfg.Sets, cfg.Assoc).Trace {
+		sig := model.signature(a.Block)
+		t := acc[sig]
+		if t == nil {
+			t = &trainAcc{}
+			acc[sig] = t
 		}
-		a.hits += hits
-		a.gens++
-		model.Generations++
-	}
-
-	next := []int(nil)
-	last := map[uint64]int{}
-	res := []trainResident(nil)
-	for set := 0; set < cfg.Sets; set++ {
-		stream := perSet[set]
-		if len(stream) == 0 {
-			continue
-		}
-		// next[i] is the index of block stream[i]'s next use.
-		if cap(next) < len(stream) {
-			next = make([]int, len(stream))
-		}
-		next = next[:len(stream)]
-		clear(last)
-		for i := len(stream) - 1; i >= 0; i-- {
-			if j, ok := last[stream[i]]; ok {
-				next[i] = j
-			} else {
-				next[i] = trainNever
-			}
-			last[stream[i]] = i
-		}
-		res = res[:0]
-		for i, block := range stream {
-			found := false
-			for r := range res {
-				if res[r].block == block {
-					res[r].hits++
-					res[r].next = next[i]
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-			if len(res) < cfg.Assoc {
-				res = append(res, trainResident{block: block, next: next[i]})
-				continue
-			}
-			// Belady: evict the resident with the furthest next use
-			// (first such on ties, deterministically).
-			victim := 0
-			for r := 1; r < len(res); r++ {
-				if res[r].next > res[victim].next {
-					victim = r
-				}
-			}
-			closeGen(res[victim].block, res[victim].hits)
-			res[victim] = trainResident{block: block, next: next[i]}
-		}
-		for r := range res {
-			closeGen(res[r].block, res[r].hits)
+		if a.Hit {
+			t.hits++
+		} else {
+			t.misses++
+			model.Generations++
 		}
 	}
 
-	for sig, a := range acc {
+	for sig, t := range acc {
 		// Fixed-point rounded mean, capped below the Untrained mark.
-		e := (a.hits*HitScale + a.gens/2) / a.gens
+		e := (t.hits*HitScale + t.misses/2) / t.misses
 		if e >= Untrained {
 			e = Untrained - 1
 		}

@@ -18,21 +18,6 @@ type Comparison struct {
 	OPT, CostOPT, EHC Result
 }
 
-// Compare captures the full comparison: the log replayed under all
-// three oracles at the given geometry.
-func Compare(log *Log, sets, assoc int) Comparison {
-	return Comparison{
-		Sets:       sets,
-		Assoc:      assoc,
-		Accesses:   log.Accesses(),
-		LiveMisses: log.LiveMisses,
-		LiveCost:   log.LiveCost,
-		OPT:        Belady(log, sets, assoc),
-		CostOPT:    CostBelady(log, sets, assoc),
-		EHC:        EHC(log, sets, assoc),
-	}
-}
-
 // headroomPct returns how much of `live` the oracle value `opt` leaves
 // on the table, in percent of live (0 when the live run was idle).
 func headroomPct(live, opt uint64) float64 {

@@ -1,22 +1,22 @@
 // Package oracle is the offline replacement-oracle engine: it captures
 // the live L2 demand-access stream (via sim.Config.Capture) into a
 // compact access log and replays it, untimed, under oracles the online
-// policies can be measured against. Three replays are provided: classic
-// Belady/OPT, which minimizes miss count — the objective the paper's
-// Section 2 and Figure 1 argue is the wrong one; a cost-weighted Belady
-// variant that minimizes the summed quantized mlp-cost the live run
-// actually accrued — the paper's objective; and an EHC-style
-// expected-hit-count predictor (a realizable midpoint between the
-// oracles and the online policies, after "Making Belady-Inspired
-// Replacement Policies More Effective Using Expected Hit Count"). The
-// generalization starts from cache.SimulateOPT, the Figure 1 worked
-// example's fully-associative OPT, and extends it to the full per-set
-// geometry of the live L2 with per-access cost weights.
+// policies can be measured against. Compare replays it under three
+// rules in one pass over the log: classic Belady/OPT, which minimizes
+// miss count — the objective the paper's Section 2 and Figure 1 argue
+// is the wrong one; a cost-weighted Belady variant that minimizes the
+// summed quantized mlp-cost the live run actually accrued — the paper's
+// objective; and an EHC-style expected-hit-count predictor (a
+// realizable midpoint between the oracles and the online policies,
+// after "Making Belady-Inspired Replacement Policies More Effective
+// Using Expected Hit Count"). The generalization starts from
+// cache.SimulateOPT, the Figure 1 worked example's fully-associative
+// OPT, and extends it to the full per-set geometry of the live L2 with
+// per-access cost weights.
 package oracle
 
 import (
 	"mlpcache/internal/core"
-	"mlpcache/internal/learn"
 	"mlpcache/internal/sim"
 )
 
@@ -62,14 +62,13 @@ func LogFromBlocks(blocks []uint64) *Log {
 	return log
 }
 
-// TrainingSamples converts the captured stream into the offline
-// trainer's input: one learn.Sample per record, block plus quantized
-// cost, order preserved — training replays the exact demand stream the
-// live run saw (docs/ORACLE.md, "Capture as training data").
-func (l *Log) TrainingSamples() []learn.Sample {
-	out := make([]learn.Sample, len(l.Records))
+// Blocks returns the captured block stream in order: the offline
+// trainer's input (learn.Train), so training replays the exact demand
+// stream the live run saw (docs/ORACLE.md, "Capture as training data").
+func (l *Log) Blocks() []uint64 {
+	out := make([]uint64, len(l.Records))
 	for i, rec := range l.Records {
-		out[i] = learn.Sample{Block: rec.Block, CostQ: rec.CostQ}
+		out[i] = rec.Block
 	}
 	return out
 }

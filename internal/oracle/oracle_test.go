@@ -26,16 +26,17 @@ func figure1Stream(iters int) []uint64 {
 func TestBeladyMatchesSimulateOPT(t *testing.T) {
 	stream := figure1Stream(100)
 	ref := cache.SimulateOPT(stream, 1, 4)
-	got := Belady(LogFromBlocks(stream), 1, 4)
+	cmp := Compare(LogFromBlocks(stream), 1, 4)
+	got := cmp.OPT
 	if got.Misses != ref.Misses || got.Accesses != ref.Accesses {
 		t.Fatalf("Figure 1 stream: oracle Belady %d/%d misses/accesses, cache.SimulateOPT %d/%d",
 			got.Misses, got.Accesses, ref.Misses, ref.Accesses)
 	}
 	// Unit costs: the cost-weighted objective degenerates to miss count,
 	// so the cost replay must tie OPT exactly.
-	cost := CostBelady(LogFromBlocks(stream), 1, 4)
+	cost := cmp.CostOPT
 	if cost.CostQSum != ref.Misses {
-		t.Fatalf("unit-cost CostBelady summed cost %d, want OPT misses %d", cost.CostQSum, ref.Misses)
+		t.Fatalf("unit-cost CostOPT summed cost %d, want OPT misses %d", cost.CostQSum, ref.Misses)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -48,7 +49,7 @@ func TestBeladyMatchesSimulateOPT(t *testing.T) {
 			blocks[i] = uint64(rng.Intn(6 * sets * assoc))
 		}
 		ref := cache.SimulateOPT(blocks, sets, assoc)
-		got := Belady(LogFromBlocks(blocks), sets, assoc)
+		got := Compare(LogFromBlocks(blocks), sets, assoc).OPT
 		if got.Misses != ref.Misses {
 			t.Fatalf("trial %d (%dx%d, %d accesses): oracle %d misses, SimulateOPT %d",
 				trial, sets, assoc, n, got.Misses, ref.Misses)
@@ -79,9 +80,8 @@ func TestOracleBounds(t *testing.T) {
 		assoc := 2 + trial%7
 		log := randomLog(rng, 300+rng.Intn(1200), 4*sets*assoc+rng.Intn(8*sets*assoc))
 
-		opt := Belady(log, sets, assoc)
-		costOpt := CostBelady(log, sets, assoc)
-		ehc := EHC(log, sets, assoc)
+		cmp := Compare(log, sets, assoc)
+		opt, costOpt, ehc := cmp.OPT, cmp.CostOPT, cmp.EHC
 		online := []Result{
 			ReplayOnline(log, sets, assoc, cache.NewLRU()),
 			ReplayOnline(log, sets, assoc, cache.NewFIFO()),

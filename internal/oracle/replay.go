@@ -5,9 +5,11 @@ package oracle
 // Record.CostQ when it misses, so the replays and the live run are
 // scored in the same currency: miss count and summed quantized mlp-cost
 // (the paper's Section 2 objective). Sets are independent under this
-// mapping, so each replay runs per set and sums.
+// mapping, so Compare partitions the log by set once and replays each
+// set under every rule.
 
 import (
+	"mlpcache/internal/blockmap"
 	"mlpcache/internal/cache"
 	"mlpcache/internal/core"
 	"mlpcache/internal/simerr"
@@ -29,109 +31,148 @@ type Result struct {
 // never is the next-use sentinel: the block is not referenced again.
 const never = int(^uint(0) >> 1)
 
-// splitSets partitions record indices by home set (block % sets).
-func splitSets(log *Log, sets int) [][]int {
-	if sets <= 0 {
-		panic(simerr.New(simerr.ErrBadConfig, "oracle: sets must be positive, got %d", sets))
-	}
-	bySet := make([][]int, sets)
-	for i, rec := range log.Records {
-		s := int(rec.Block % uint64(sets))
-		bySet[s] = append(bySet[s], i)
-	}
-	return bySet
+// access is one record of the log in set-major order.
+type access struct {
+	// id numbers the record's block densely, in order of first access.
+	id int
+	// next is the position within the set of the block's next access,
+	// or never.
+	next  int
+	costQ uint8
 }
 
-// nextUses computes, for each position p in the per-set index list idx,
-// the position (within idx) of the next access to the same block, or
-// never.
-func nextUses(log *Log, idx []int) []int {
-	next := make([]int, len(idx))
-	last := make(map[uint64]int, len(idx))
-	for p := len(idx) - 1; p >= 0; p-- {
-		b := log.Records[idx[p]].Block
-		if q, ok := last[b]; ok {
-			next[p] = q
+// partition orders the log's records by home set (block % sets),
+// keeping stream order within each set, and links every access to its
+// block's next one. Set s is order[start[s]:start[s+1]]; ids counts the
+// distinct blocks.
+func partition(log *Log, sets int) (order []access, start []int, ids int) {
+	start = make([]int, sets+1)
+	for _, rec := range log.Records {
+		start[rec.Block%uint64(sets)+1]++
+	}
+	for s := 0; s < sets; s++ {
+		start[s+1] += start[s]
+	}
+	fill := append([]int(nil), start[:sets]...)
+	order = make([]access, len(log.Records))
+	// last maps a block to the index in order of its latest access.
+	last := blockmap.New[int](len(log.Records) / 8)
+	for _, rec := range log.Records {
+		s := rec.Block % uint64(sets)
+		j := fill[s]
+		fill[s]++
+		a := access{next: never, costQ: rec.CostQ}
+		if q, ok := last.Get(rec.Block); ok {
+			order[q].next = j - start[s]
+			a.id = order[q].id
 		} else {
-			next[p] = never
+			a.id = ids
+			ids++
 		}
-		last[b] = p
+		order[j] = a
+		last.Put(rec.Block, j)
 	}
-	return next
+	return order, start, ids
 }
 
-// resident is one line of a replayed set.
-type resident struct {
-	block uint64
-	next  int // position (within the set's index list) of the next use
+// line is one resident block of a replayed set.
+type line struct {
+	id      int
+	next    int     // position of the block's next access, or never
+	lastUse int     // position of the block's latest access
+	hits    uint64  // hits since the fill
+	expect  float64 // the block's expected hits when it was filled
 }
 
-// replaySet runs one set's subsequence under a victim rule and
-// accumulates misses and cost into res. victim picks the way to evict
-// from a full set given the current position p.
-func replaySet(log *Log, idx, next []int, assoc int, res *Result,
-	victim func(lines []resident, p int) int) {
+// rule is an offline victim rule.
+type rule uint8
 
-	lines := make([]resident, 0, assoc)
-	for p, i := range idx {
-		rec := log.Records[i]
-		found := -1
-		for w := range lines {
-			if lines[w].block == rec.Block {
-				found = w
-				break
-			}
-		}
-		if found >= 0 {
-			lines[found].next = next[p]
-			continue
-		}
-		res.Misses++
-		res.CostQSum += uint64(rec.CostQ)
-		if len(lines) < assoc {
-			lines = append(lines, resident{block: rec.Block, next: next[p]})
-			continue
-		}
-		w := victim(lines, p)
-		lines[w] = resident{block: rec.Block, next: next[p]}
-	}
-}
+const (
+	// belady evicts the line referenced furthest in the future (first
+	// such on ties): classic Belady/OPT, the minimum miss count.
+	belady rule = iota
+	// costDensity evicts the line whose eviction forfeits the least
+	// cost per position of reuse distance. Evicting a line turns its
+	// next access into a miss that costs that access's CostQ, so
+	// never-referenced-again lines go first (they forfeit nothing), then
+	// the minimum CostQ(next)/(next-p), ties toward the furthest next use.
+	costDensity
+	// ehc evicts the line with the fewest expected hits remaining
+	// (expected minus received), ties toward LRU. It uses no future
+	// knowledge: a block's expectation is an EWMA of its hits per
+	// residency, updated when it is evicted.
+	ehc
+)
 
-// beladyVictim is classic Belady/OPT: evict the line whose next use is
-// furthest in the future.
-func beladyVictim(log *Log, idx []int) func([]resident, int) int {
-	return func(lines []resident, _ int) int {
-		w := 0
+// victim picks the way of a full set to evict at position p.
+func (r rule) victim(lines []line, set []access, p int) int {
+	w := 0
+	switch r {
+	case belady:
 		for v := 1; v < len(lines); v++ {
 			if lines[v].next > lines[w].next {
 				w = v
 			}
 		}
-		return w
-	}
-}
-
-// costVictim is the cost-density rule: evicting a line forfeits one
-// future hit, turning its next access into a miss that costs that
-// access's CostQ. Evict the line with the smallest forfeited cost per
-// cycle of reuse distance — never-referenced-again lines first (they
-// forfeit nothing), then minimum CostQ(next)/(next-p), ties broken
-// toward the furthest next use.
-func costVictim(log *Log, idx []int) func([]resident, int) int {
-	return func(lines []resident, p int) int {
-		w, wScore := -1, 0.0
+	case costDensity:
+		w = -1
+		wScore := 0.0
 		for v := range lines {
 			n := lines[v].next
 			if n == never {
 				return v
 			}
-			score := float64(log.Records[idx[n]].CostQ) / float64(n-p)
+			score := float64(set[n].costQ) / float64(n-p)
 			if w < 0 || score < wScore || (score == wScore && n > lines[w].next) {
 				w, wScore = v, score
 			}
 		}
-		return w
+	case ehc:
+		for v := 1; v < len(lines); v++ {
+			sv := lines[v].expect - float64(lines[v].hits)
+			sw := lines[w].expect - float64(lines[w].hits)
+			if sv < sw || (sv == sw && lines[v].lastUse < lines[w].lastUse) {
+				w = v
+			}
+		}
 	}
+	return w
+}
+
+// replaySet replays one set's accesses under rule r and returns its
+// misses and summed cost. lines is scratch with capacity assoc; expect
+// holds each block's expected hits, which only the ehc rule updates.
+func replaySet(set []access, assoc int, r rule, lines []line, expect []float64) (misses, cost uint64) {
+	lines = lines[:0]
+	for p, a := range set {
+		found := -1
+		for w := range lines {
+			if lines[w].id == a.id {
+				found = w
+				break
+			}
+		}
+		if found >= 0 {
+			l := &lines[found]
+			l.next, l.lastUse = a.next, p
+			l.hits++
+			continue
+		}
+		misses++
+		cost += uint64(a.costQ)
+		fresh := line{id: a.id, next: a.next, lastUse: p, expect: expect[a.id]}
+		if len(lines) < assoc {
+			lines = append(lines, fresh)
+			continue
+		}
+		w := r.victim(lines, set, p)
+		if r == ehc {
+			old := &lines[w]
+			expect[old.id] = (old.expect + float64(old.hits)) / 2
+		}
+		lines[w] = fresh
+	}
+	return misses, cost
 }
 
 // checkGeometry validates a replay geometry.
@@ -142,95 +183,51 @@ func checkGeometry(sets, assoc int) {
 	}
 }
 
-// Belady replays the log under classic Belady/OPT: per set, evict the
-// line referenced furthest in the future. This minimizes the replay's
-// miss count (the Figure 1 "OPT" column, generalized from
-// cache.SimulateOPT to arbitrary per-set streams) but not its cost.
-func Belady(log *Log, sets, assoc int) Result {
+// Compare replays the log at the given geometry in one pass: the log is
+// partitioned by set once, and each set is replayed three times.
+//   - Belady, whose schedule is the OPT column (minimum misses; it
+//     generalizes cache.SimulateOPT, the Figure 1 worked example's OPT,
+//     to the live L2's per-set geometry).
+//   - The cost-density greedy. CostOPT minimizes summed quantized
+//     mlp-cost, the paper's Section 2 objective: weighted offline
+//     caching has no simple exchange-argument optimum, so each set keeps
+//     the cheaper of the greedy's and Belady's schedules (cost first,
+//     misses as tie-break). Sets are independent, so the combination is
+//     itself a feasible schedule whose cost never exceeds Belady's.
+//   - EHC, the expected-hit-count predictor: unlike the two oracles it
+//     uses no future knowledge, so it is a realizable midpoint.
+func Compare(log *Log, sets, assoc int) Comparison {
 	checkGeometry(sets, assoc)
-	res := Result{Name: "belady", Accesses: log.Accesses()}
-	for _, idx := range splitSets(log, sets) {
-		replaySet(log, idx, nextUses(log, idx), assoc, &res, beladyVictim(log, idx))
+	n := log.Accesses()
+	cmp := Comparison{
+		Sets:       sets,
+		Assoc:      assoc,
+		Accesses:   n,
+		LiveMisses: log.LiveMisses,
+		LiveCost:   log.LiveCost,
+		OPT:        Result{Name: "belady", Accesses: n},
+		CostOPT:    Result{Name: "cost-belady", Accesses: n},
+		EHC:        Result{Name: "ehc", Accesses: n},
 	}
-	return res
-}
-
-// CostBelady replays the log minimizing summed quantized mlp-cost — the
-// paper's Section 2 objective. Weighted offline caching has no simple
-// exchange-argument optimum, so each set is replayed under both the
-// cost-density greedy and classic Belady and the cheaper schedule is
-// kept (cost first, misses as tie-break). Sets are independent, so the
-// combination is itself a feasible schedule; by construction its summed
-// cost is never above Belady's.
-func CostBelady(log *Log, sets, assoc int) Result {
-	checkGeometry(sets, assoc)
-	res := Result{Name: "cost-belady", Accesses: log.Accesses()}
-	for _, idx := range splitSets(log, sets) {
-		next := nextUses(log, idx)
-		var greedy, opt Result
-		replaySet(log, idx, next, assoc, &greedy, costVictim(log, idx))
-		replaySet(log, idx, next, assoc, &opt, beladyVictim(log, idx))
-		best := greedy
-		if opt.CostQSum < best.CostQSum ||
-			(opt.CostQSum == best.CostQSum && opt.Misses < best.Misses) {
-			best = opt
+	order, start, ids := partition(log, sets)
+	expect := make([]float64, ids)
+	lines := make([]line, 0, assoc)
+	for s := 0; s < sets; s++ {
+		set := order[start[s]:start[s+1]]
+		optMiss, optCost := replaySet(set, assoc, belady, lines, expect)
+		greedyMiss, greedyCost := replaySet(set, assoc, costDensity, lines, expect)
+		ehcMiss, ehcCost := replaySet(set, assoc, ehc, lines, expect)
+		cmp.OPT.Misses += optMiss
+		cmp.OPT.CostQSum += optCost
+		if optCost < greedyCost || (optCost == greedyCost && optMiss < greedyMiss) {
+			greedyMiss, greedyCost = optMiss, optCost
 		}
-		res.Misses += best.Misses
-		res.CostQSum += best.CostQSum
+		cmp.CostOPT.Misses += greedyMiss
+		cmp.CostOPT.CostQSum += greedyCost
+		cmp.EHC.Misses += ehcMiss
+		cmp.EHC.CostQSum += ehcCost
 	}
-	return res
-}
-
-// EHC replays the log under an expected-hit-count predictor — unlike
-// the two oracles it uses no future knowledge, so it is a realizable
-// midpoint: per block, an EWMA of hits-per-residency is kept across
-// evictions, and the victim is the line with the fewest expected hits
-// remaining (expected minus received), ties broken toward LRU.
-func EHC(log *Log, sets, assoc int) Result {
-	checkGeometry(sets, assoc)
-	type line struct {
-		block   uint64
-		hits    uint64
-		lastUse int
-	}
-	res := Result{Name: "ehc", Accesses: log.Accesses()}
-	expect := make(map[uint64]float64)
-	for _, idx := range splitSets(log, sets) {
-		lines := make([]line, 0, assoc)
-		for p, i := range idx {
-			rec := log.Records[i]
-			found := -1
-			for w := range lines {
-				if lines[w].block == rec.Block {
-					found = w
-					break
-				}
-			}
-			if found >= 0 {
-				lines[found].hits++
-				lines[found].lastUse = p
-				continue
-			}
-			res.Misses++
-			res.CostQSum += uint64(rec.CostQ)
-			if len(lines) < assoc {
-				lines = append(lines, line{block: rec.Block, lastUse: p})
-				continue
-			}
-			w := 0
-			score := func(l line) float64 { return expect[l.block] - float64(l.hits) }
-			for v := 1; v < len(lines); v++ {
-				sv, sw := score(lines[v]), score(lines[w])
-				if sv < sw || (sv == sw && lines[v].lastUse < lines[w].lastUse) {
-					w = v
-				}
-			}
-			old := lines[w]
-			expect[old.block] = (expect[old.block] + float64(old.hits)) / 2
-			lines[w] = line{block: rec.Block, lastUse: p}
-		}
-	}
-	return res
+	return cmp
 }
 
 // ReplayOnline replays the log through a real cache.Policy on a fresh
@@ -238,18 +235,7 @@ func EHC(log *Log, sets, assoc int) Result {
 // baseline the oracle results are compared against (and the property
 // tests' witnesses: no online policy can miss less than Belady).
 func ReplayOnline(log *Log, sets, assoc int, policy cache.Policy) Result {
-	checkGeometry(sets, assoc)
-	c := cache.New(cache.Config{Sets: sets, Assoc: assoc, BlockBytes: 1}, policy)
-	res := Result{Name: policy.Name(), Accesses: log.Accesses()}
-	for _, rec := range log.Records {
-		if c.Probe(rec.Block, false) {
-			continue
-		}
-		res.Misses++
-		res.CostQSum += uint64(rec.CostQ)
-		c.Fill(rec.Block, rec.CostQ, false)
-	}
-	return res
+	return replayStore(log, newStore(sets, assoc, policy), policy.Name(), nil)
 }
 
 // ReplayHybrid replays the log through a hybrid selection scheme
@@ -262,21 +248,37 @@ func ReplayOnline(log *Log, sets, assoc int, policy cache.Policy) Result {
 // miss. Epochs never advance; static leader selection is the natural
 // fit here.
 func ReplayHybrid(log *Log, sets, assoc int, build func(mtd *cache.Cache) core.Hybrid) Result {
-	checkGeometry(sets, assoc)
-	c := cache.New(cache.Config{Sets: sets, Assoc: assoc, BlockBytes: 1}, nil)
+	c := newStore(sets, assoc, nil)
 	h := build(c)
 	c.SetPolicy(h)
-	res := Result{Name: h.Name(), Accesses: log.Accesses()}
+	return replayStore(log, c, h.Name(), h)
+}
+
+// newStore builds the fresh tag store an online replay drives.
+func newStore(sets, assoc int, policy cache.Policy) *cache.Cache {
+	checkGeometry(sets, assoc)
+	return cache.New(cache.Config{Sets: sets, Assoc: assoc, BlockBytes: 1}, policy)
+}
+
+// replayStore is the one online replay loop: probe each record, and on
+// a miss charge its cost and fill. A non-nil hybrid also sees the
+// memory system's OnAccess and OnFill calls.
+func replayStore(log *Log, c *cache.Cache, name string, h core.Hybrid) Result {
+	res := Result{Name: name, Accesses: log.Accesses()}
 	for _, rec := range log.Records {
 		hit := c.Probe(rec.Block, false)
-		h.OnAccess(rec.Block, false, hit, !hit)
+		if h != nil {
+			h.OnAccess(rec.Block, false, hit, !hit)
+		}
 		if hit {
 			continue
 		}
 		res.Misses++
 		res.CostQSum += uint64(rec.CostQ)
 		c.Fill(rec.Block, rec.CostQ, false)
-		h.OnFill(rec.Block, rec.CostQ)
+		if h != nil {
+			h.OnFill(rec.Block, rec.CostQ)
+		}
 	}
 	return res
 }

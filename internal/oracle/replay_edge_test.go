@@ -12,10 +12,11 @@ import (
 // the results keyed by name — the degenerate-input tests assert the
 // same properties across all of them.
 func replayAll(log *Log, sets, assoc int) map[string]Result {
+	cmp := Compare(log, sets, assoc)
 	out := map[string]Result{
-		"belady":      Belady(log, sets, assoc),
-		"cost-belady": CostBelady(log, sets, assoc),
-		"ehc":         EHC(log, sets, assoc),
+		"belady":      cmp.OPT,
+		"cost-belady": cmp.CostOPT,
+		"ehc":         cmp.EHC,
 		"online-lru":  ReplayOnline(log, sets, assoc, cache.NewLRU()),
 		"online-rand": ReplayOnline(log, sets, assoc, cache.NewRandom(7)),
 	}
@@ -49,8 +50,8 @@ func TestReplayEmptyCapture(t *testing.T) {
 	if got := cmp.CostHeadroomPct(); got != 0 {
 		t.Errorf("empty capture cost headroom %.1f%%, want 0", got)
 	}
-	if len(log.TrainingSamples()) != 0 {
-		t.Errorf("empty capture yielded %d training samples", len(log.TrainingSamples()))
+	if len(log.Blocks()) != 0 {
+		t.Errorf("empty capture yielded %d training blocks", len(log.Blocks()))
 	}
 }
 
