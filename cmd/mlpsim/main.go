@@ -40,13 +40,16 @@ import (
 	"os"
 	"strings"
 
+	"mlpcache/internal/audit"
 	"mlpcache/internal/bpred"
+	"mlpcache/internal/core"
 	"mlpcache/internal/learn"
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/oracle"
 	"mlpcache/internal/prefetch"
 	"mlpcache/internal/prof"
 	"mlpcache/internal/sim"
+	"mlpcache/internal/stats"
 	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
@@ -231,66 +234,43 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
+	// Either run yields one registry that serves the -metrics file and
+	// the -json report, a header naming the run, and its text report.
+	// The single-core oracle comparison injects its families into the
+	// same registry.
+	var (
+		reg    *metrics.Registry
+		header metrics.RunHeader
+		report func()
+	)
 	if *cores > 1 {
 		mres, err := sim.RunMultiContext(ctx, cfg, srcs...)
 		if err != nil {
 			fatal(1, "%v", err)
 		}
-		reg := mres.Metrics()
-		if tracer != nil {
-			if err := tracer.Flush(); err != nil {
-				fatal(1, "trace-events: %v", err)
-			}
-			if err := eventsFile.Close(); err != nil {
-				fatal(1, "trace-events: %v", err)
-			}
-		}
-		if *metricsPath != "" {
-			f, err := os.Create(*metricsPath)
-			if err != nil {
-				fatal(1, "%v", err)
-			}
-			if err := reg.WriteJSONL(f, mres.Header(benchLabel, *seed)); err != nil {
-				f.Close()
-				fatal(1, "metrics: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(1, "metrics: %v", err)
-			}
-		}
-		if *jsonOut {
-			report := reg.BuildReport(mres.Header(benchLabel, *seed))
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(report); err != nil {
-				fatal(1, "json: %v", err)
-			}
-		} else {
-			printMultiReport(mres, benchLabel, *hist)
-		}
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "mlpsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	res, err := sim.RunContext(ctx, cfg, src)
-	if err != nil {
-		fatal(1, "%v", err)
-	}
-
-	// One registry serves the -metrics file and the -json report; the
-	// oracle comparison injects its families into the same set.
-	reg := res.Metrics()
-	var cmp oracle.Comparison
-	if capture != nil {
-		sets, err := cfg.L2.SetCount()
+		reg, header = mres.Metrics(), mres.Header(benchLabel, *seed)
+		report = func() { printMultiReport(mres, benchLabel, *hist) }
+	} else {
+		res, err := sim.RunContext(ctx, cfg, src)
 		if err != nil {
 			fatal(1, "%v", err)
 		}
-		cmp = oracle.Compare(capture.Log(), sets, cfg.L2.Assoc)
-		cmp.Observe(reg)
+		reg, header = res.Metrics(), res.Header(*bench, *seed)
+		var cmp oracle.Comparison
+		if capture != nil {
+			sets, err := cfg.L2.SetCount()
+			if err != nil {
+				fatal(1, "%v", err)
+			}
+			cmp = oracle.Compare(capture.Log(), sets, cfg.L2.Assoc)
+			cmp.Observe(reg)
+		}
+		report = func() {
+			printReport(res, benchLabel, *hist)
+			if capture != nil {
+				printOracle(cmp)
+			}
+		}
 	}
 
 	if tracer != nil {
@@ -306,7 +286,7 @@ func main() {
 		if err != nil {
 			fatal(1, "%v", err)
 		}
-		if err := reg.WriteJSONL(f, res.Header(*bench, *seed)); err != nil {
+		if err := reg.WriteJSONL(f, header); err != nil {
 			f.Close()
 			fatal(1, "metrics: %v", err)
 		}
@@ -314,24 +294,46 @@ func main() {
 			fatal(1, "metrics: %v", err)
 		}
 	}
-
 	if *jsonOut {
-		report := reg.BuildReport(res.Header(*bench, *seed))
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := enc.Encode(reg.BuildReport(header)); err != nil {
 			fatal(1, "json: %v", err)
 		}
 	} else {
-		printReport(res, benchLabel, *hist)
-		if capture != nil {
-			printOracle(cmp)
-		}
+		report()
 	}
 
 	if err := stopProf(); err != nil {
 		fmt.Fprintf(os.Stderr, "mlpsim: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// printTail renders the lines both reports share: the hybrid selection
+// counters with each thread's final selector (hybrid runs only; psel is
+// empty for one core), the learned-eviction accounting, the mlp-cost
+// histogram when hist is set, and the audit summary.
+func printTail(h *core.HybridStats, psel []int, l *learn.Stats, hist bool, costs *stats.Histogram, a *audit.Report) {
+	if h != nil {
+		fmt.Printf("hybrid: PSEL +%d/-%d updates, victims %d LIN / %d LRU\n",
+			h.PselIncrements, h.PselDecrements, h.LinVictims, h.LruVictims)
+		for i, v := range psel {
+			fmt.Printf("  thread %d selector %d\n", i, v)
+		}
+	}
+	printLearn(l)
+	if hist {
+		fmt.Printf("mlp-cost distribution (%% of misses):\n")
+		var labels, vals []string
+		for i, p := range costs.Percent() {
+			labels = append(labels, fmt.Sprintf("%8s", costs.BinLabel(i)))
+			vals = append(vals, fmt.Sprintf("%7.1f%%", p))
+		}
+		fmt.Printf("  %s\n  %s\n", strings.Join(labels, " "), strings.Join(vals, " "))
+	}
+	if a != nil {
+		fmt.Printf("audit: %d passes, %d violations\n", a.Checks, len(a.Violations))
 	}
 }
 
@@ -388,28 +390,7 @@ func printMultiReport(res sim.MultiResult, benchLabel string, hist bool) {
 			i, c.Instructions, c.IPC, c.Mem.DemandMisses, c.Mem.MergedMisses,
 			c.MPKI(), c.AvgMLPCost(), c.CPU.MemStallCycles)
 	}
-	if res.Hybrid != nil {
-		fmt.Printf("hybrid: PSEL +%d/-%d updates, victims %d LIN / %d LRU\n",
-			res.Hybrid.PselIncrements, res.Hybrid.PselDecrements,
-			res.Hybrid.LinVictims, res.Hybrid.LruVictims)
-		for i, v := range res.PselValues {
-			fmt.Printf("  thread %d selector %d\n", i, v)
-		}
-	}
-	printLearn(res.Learn)
-	if hist {
-		fmt.Printf("mlp-cost distribution (%% of misses):\n")
-		pct := res.CostHist.Percent()
-		var labels, vals []string
-		for i, p := range pct {
-			labels = append(labels, fmt.Sprintf("%8s", res.CostHist.BinLabel(i)))
-			vals = append(vals, fmt.Sprintf("%7.1f%%", p))
-		}
-		fmt.Printf("  %s\n  %s\n", strings.Join(labels, " "), strings.Join(vals, " "))
-	}
-	if res.Audit != nil {
-		fmt.Printf("audit: %d passes, %d violations\n", res.Audit.Checks, len(res.Audit.Violations))
-	}
+	printTail(res.Hybrid, res.PselValues, res.Learn, hist, res.CostHist, res.Audit)
 }
 
 // printReport renders the human-readable run report to stdout.
@@ -444,25 +425,7 @@ func printReport(res sim.Result, benchLabel string, hist bool) {
 			res.Mem.PrefetchIssued, res.Mem.PrefetchUseful, res.Mem.PrefetchLate,
 			res.Mem.PrefetchUnused, res.Mem.PrefetchDropped)
 	}
-	if res.Hybrid != nil {
-		fmt.Printf("hybrid: PSEL +%d/-%d updates, victims %d LIN / %d LRU\n",
-			res.Hybrid.PselIncrements, res.Hybrid.PselDecrements,
-			res.Hybrid.LinVictims, res.Hybrid.LruVictims)
-	}
-	printLearn(res.Learn)
-	if hist {
-		fmt.Printf("mlp-cost distribution (%% of misses):\n")
-		pct := res.CostHist.Percent()
-		var labels, vals []string
-		for i, p := range pct {
-			labels = append(labels, fmt.Sprintf("%8s", res.CostHist.BinLabel(i)))
-			vals = append(vals, fmt.Sprintf("%7.1f%%", p))
-		}
-		fmt.Printf("  %s\n  %s\n", strings.Join(labels, " "), strings.Join(vals, " "))
-	}
-	if res.Audit != nil {
-		fmt.Printf("audit: %d passes, %d violations\n", res.Audit.Checks, len(res.Audit.Violations))
-	}
+	printTail(res.Hybrid, nil, res.Learn, hist, res.CostHist, res.Audit)
 	if res.Series != nil {
 		fmt.Println("time series (instructions, IPC, MPKI, avg cost_q):")
 		for i, p := range res.Series.IPC.Points {
