@@ -868,7 +868,7 @@ func serveSection(t *testing.T) (goRuns [][]string, curls []string) {
 			curls = append(curls, line)
 		}
 	}
-	if len(goRuns) < 4 || len(curls) < 5 {
+	if len(goRuns) < 3 || len(curls) < 5 {
 		t.Fatalf("service section documents %d go-run and %d curl commands; format changed?",
 			len(goRuns), len(curls))
 	}
@@ -971,8 +971,7 @@ func urlPath(t *testing.T, u string) string {
 // TestCLIServe drives the documented sweep-service flow end to end:
 // daemon up on an ephemeral port, every documented curl exchange over
 // the wire, the load generator against the live address, then a SIGTERM
-// drain that must exit 0. The in-process chaos drill and the mlpexp
-// -serve alias run afterwards.
+// drain that must exit 0. The in-process chaos drill runs afterwards.
 func TestCLIServe(t *testing.T) {
 	dir := buildTools(t)
 	goRuns, curls := serveSection(t)
@@ -1056,25 +1055,6 @@ func TestCLIServe(t *testing.T) {
 	out, err = exec.Command(filepath.Join(dir, "loadgen"), chaosArgs...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("in-process chaos loadgen: %v\n%s", err, out)
-	}
-
-	// The mlpexp -serve alias answers jobs and drains too.
-	base, cmd, exited = startDaemon(t, dir, "mlpexp", "-serve", "-addr", "127.0.0.1:0")
-	body := curlEquivalent(t, base, "curl -s http://127.0.0.1:8321/healthz")
-	if !strings.Contains(body, "ok") {
-		t.Fatalf("mlpexp -serve healthz: %q", body)
-	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("mlpexp -serve exit after SIGTERM: %v (want 0)", err)
-		}
-	case <-time.After(time.Minute):
-		cmd.Process.Kill()
-		t.Fatal("mlpexp -serve failed to drain on SIGTERM")
 	}
 }
 

@@ -10,15 +10,14 @@
 // the telemetry schemas and record layouts.
 //
 // -timeout bounds the whole invocation with the simulator's cooperative
-// cancellation (exit 1 on expiry), and -serve runs the sweep-service
-// daemon (cmd/mlpserve) in place of a batch of experiments.
+// cancellation (exit 1 on expiry). The sweep-service daemon is its own
+// command, cmd/mlpserve.
 //
 // Examples:
 //
 //	mlpexp -run fig5 -n 3000000
 //	mlpexp -run fig2,tab1
 //	mlpexp -run all -timeout 10m
-//	mlpexp -serve -addr 127.0.0.1:8321
 //	mlpexp -run fig9 -format json -metrics runs.jsonl
 package main
 
@@ -26,17 +25,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"mlpcache/internal/experiments"
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/prof"
-	"mlpcache/internal/service"
 )
 
 func main() {
@@ -54,16 +48,10 @@ func main() {
 		evSample    = flag.Uint64("trace-events-sample", 0, "keep every Nth traced event (0 or 1: all; run.start and snapshot.* always kept)")
 		evFilter    = flag.String("trace-events-filter", "", "comma-separated event types to trace, e.g. miss,victim (empty: all; run.start always kept)")
 		timeout     = flag.Duration("timeout", 0, "abort the whole invocation after this wall-clock budget (0: none); exits 1")
-		serve       = flag.Bool("serve", false, "run the sweep-service daemon (same as mlpserve) instead of a batch of experiments")
-		addr        = flag.String("addr", "127.0.0.1:8321", "listen address for -serve")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
-
-	if *serve {
-		os.Exit(serveDaemon(*addr, *workers))
-	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -156,22 +144,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mlpexp: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// serveDaemon is the -serve alias: a default-configured sweep service
-// on addr, identical to running cmd/mlpserve without chaos flags.
-func serveDaemon(addr string, workers int) int {
-	s, err := service.New(service.Config{Workers: workers})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlpexp: %v\n", err)
-		return 2
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlpexp: %v\n", err)
-		return 1
-	}
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	return service.Serve(s, l, sigs, 30*time.Second, os.Stderr)
 }
