@@ -101,7 +101,41 @@ func goldenCases() []goldenCase {
 
 	cases = append(cases, featureCases()...)
 	cases = append(cases, quadCases()...)
+	cases = append(cases, evictionCases()...)
 	return append(cases, exitCases()...)
+}
+
+// evictionCases pins every policy kind on an L2 small enough that a
+// 200k-instruction run chooses victims on most fills (the 1 MB L2 of
+// the rows above gets fewer fills than it has lines in most models):
+// a 128 KB 16-way L2 (128 sets) under bzip2 and mgrid, a 96 KB one (96
+// sets, not a power of two; 32 leader sets divide it) under parser, and
+// a four-core SBAR run on the 128 KB L2.
+func evictionCases() []goldenCase {
+	var cases []goldenCase
+	for _, run := range []struct {
+		bench string
+		kb    uint64
+	}{{"bzip2", 128}, {"mgrid", 128}, {"parser", 96}} {
+		spec, _ := workload.ByName(run.bench)
+		for _, kind := range AllPolicies {
+			cfg := DefaultConfig()
+			cfg.MaxInstructions = 200_000
+			cfg.L2.SizeBytes = run.kb * 1024
+			cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
+			name := fmt.Sprintf("evict/%dKB/%s/%s", run.kb, run.bench, kind)
+			cases = append(cases, goldenCase{name, func() (any, error) {
+				return Run(cfg, spec.Build(42))
+			}})
+		}
+	}
+	quad := DefaultConfig()
+	quad.MaxInstructions = 100_000
+	quad.L2.SizeBytes = 128 * 1024
+	quad.Policy = PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}
+	return append(cases, goldenCase{"evict/128KB/mcf+art+parser+equake/" + quad.Policy.String(), func() (any, error) {
+		return RunMulti(quad, sources("mcf", "art", "parser", "equake")...)
+	}})
 }
 
 // quadCases pins the four-core run under each condition that decides
