@@ -447,6 +447,7 @@ func (v SetView) Demote(w int) {
 				lines[i].lastUse++
 			}
 		}
+		v.cache.seq++
 		minUse = 1
 	}
 	lines[w].lastUse = minUse - 1

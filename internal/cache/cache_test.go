@@ -337,6 +337,27 @@ func TestDemoteSingleLineIsNoop(t *testing.T) {
 	}
 }
 
+// TestDemoteShiftKeepsRecencyDistinct covers Demote's shift: demoting
+// below a line that already holds the lowest recency moves every other
+// valid line up one step, and the next access must still rank above
+// all of them rather than tie the line that was most recent.
+func TestDemoteShiftKeepsRecencyDistinct(t *testing.T) {
+	c := newTestCache(1, 4, NewLRU())
+	c.Fill(0, 0, false)  // A
+	c.Fill(64, 0, false) // B
+	v := c.ViewSet(0)
+	v.Demote(1)                              // B drops below A
+	c.Fill(128, 0, false)                    // C, most recent
+	v.Demote(0)                              // A drops below B: the shift
+	c.Probe(64, false)                       // B becomes most recent
+	want := map[uint64]int{0: 0, 2: 1, 1: 2} // by tag: A, C, B
+	for w := 0; w < 3; w++ {
+		if got := v.RecencyRank(w); got != want[v.Line(w).Tag] {
+			t.Errorf("way %d (tag %d): rank %d, want %d", w, v.Line(w).Tag, got, want[v.Line(w).Tag])
+		}
+	}
+}
+
 func TestViewSetPanicsOutOfRange(t *testing.T) {
 	c := newTestCache(2, 2, NewLRU())
 	defer func() {

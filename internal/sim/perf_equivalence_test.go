@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,55 +18,71 @@ import (
 // per-way RecencyRank reference under every replacement policy in the
 // registry, across randomized fill/touch/demote/invalidate sequences.
 // The policies themselves run live (hybrids included), so the sequences
-// exercise exactly the metadata states real victim decisions see.
+// exercise exactly the metadata states real victim decisions see. Two
+// small geometries maximize set pressure and eviction churn: 16 sets,
+// and 12, a set count that is not a power of two.
 func TestRanksAgreeWithReferenceAcrossPolicies(t *testing.T) {
-	for _, kind := range AllPolicies {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			t.Parallel()
-			cfg := DefaultConfig()
-			// A small cache maximizes set pressure and eviction churn.
-			cfg.L2 = cache.Config{Sets: 16, Assoc: 8, BlockBytes: 64}
-			cfg.Policy = PolicySpec{Kind: kind, Seed: 11, LeaderSets: 4}
-			l2, hybrid, err := buildL2(cfg, 1)
-			if err != nil {
-				t.Fatalf("buildL2(%s): %v", kind, err)
+	for _, geom := range []cache.Config{
+		{Sets: 16, Assoc: 8, BlockBytes: 64},
+		{Sets: 12, Assoc: 8, BlockBytes: 64},
+	} {
+		for _, kind := range AllPolicies {
+			name := string(kind)
+			if geom.Sets != 16 {
+				name = fmt.Sprintf("%s/%dsets", kind, geom.Sets)
 			}
-			rng := rand.New(rand.NewSource(int64(len(kind)) + 17))
-			// Addresses over 4× the cache's block capacity force misses.
-			universe := uint64(4 * 16 * 8)
-			for op := 0; op < 20_000; op++ {
-				addr := (rng.Uint64() % universe) * 64
-				write := rng.Intn(4) == 0
-				switch rng.Intn(10) {
-				case 0: // invalidate
-					l2.Invalidate(addr)
-				case 1: // demote a random valid way, as BIP's fill path does
-					set := rng.Intn(cfg.L2.Sets)
-					view := l2.ViewSet(set)
-					w := rng.Intn(view.Ways())
-					if view.Line(w).Valid {
-						view.Demote(w)
-					}
-				default: // probe, then fill on miss — the memsys access shape
-					hit := l2.Probe(addr, write)
-					if hybrid != nil {
-						hybrid.OnAccess(addr, write, hit, !hit)
-					}
-					if !hit {
-						costQ := uint8(rng.Intn(8))
-						l2.Fill(addr, costQ, write)
-						if hybrid != nil {
-							hybrid.OnFill(addr, costQ)
-						}
-					}
-				}
-				checkRanksAgainstReference(t, l2, cfg.L2.Sets, op)
-				if t.Failed() {
-					return
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				ranksAgreeUnder(t, kind, geom)
+			})
+		}
+	}
+}
+
+// ranksAgreeUnder drives one policy on one L2 geometry through 20,000
+// random operations, checking every set against the reference after
+// each.
+func ranksAgreeUnder(t *testing.T, kind PolicyKind, geom cache.Config) {
+	cfg := DefaultConfig()
+	cfg.L2 = geom
+	cfg.Policy = PolicySpec{Kind: kind, Seed: 11, LeaderSets: 4}
+	l2, hybrid, err := buildL2(cfg, 1)
+	if err != nil {
+		t.Fatalf("buildL2(%s): %v", kind, err)
+	}
+	rng := rand.New(rand.NewSource(int64(len(kind)) + 17))
+	// Addresses over 4× the cache's block capacity force misses.
+	universe := uint64(4 * geom.Sets * geom.Assoc)
+	for op := 0; op < 20_000; op++ {
+		addr := (rng.Uint64() % universe) * 64
+		write := rng.Intn(4) == 0
+		switch rng.Intn(10) {
+		case 0: // invalidate
+			l2.Invalidate(addr)
+		case 1: // demote a random valid way, as BIP's fill path does
+			set := rng.Intn(geom.Sets)
+			view := l2.ViewSet(set)
+			w := rng.Intn(view.Ways())
+			if view.Line(w).Valid {
+				view.Demote(w)
+			}
+		default: // probe, then fill on miss — the memsys access shape
+			hit := l2.Probe(addr, write)
+			if hybrid != nil {
+				hybrid.OnAccess(addr, write, hit, !hit)
+			}
+			if !hit {
+				costQ := uint8(rng.Intn(8))
+				l2.Fill(addr, costQ, write)
+				if hybrid != nil {
+					hybrid.OnFill(addr, costQ)
 				}
 			}
-		})
+		}
+		checkRanksAgainstReference(t, l2, geom.Sets, op)
+		if t.Failed() {
+			return
+		}
 	}
 }
 
