@@ -14,12 +14,14 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/simerr"
 )
 
-// Line is one cache block's tag-store entry.
+// Line is one cache block's tag-store entry, as SetView.Line reports
+// it. An invalid entry reads as the zero Line.
 type Line struct {
 	// Tag identifies the block within its set (see Indexer).
 	Tag uint64
@@ -31,9 +33,6 @@ type Line struct {
 	// CostQ is the 3-bit quantized MLP-based cost stored alongside the
 	// tag, written when the block's miss was serviced (paper §5).
 	CostQ uint8
-
-	lastUse  uint64 // global access sequence, for recency ranking
-	inserted uint64 // fill sequence, for FIFO
 }
 
 // Indexer maps a block number to a set index and an in-set tag. The
@@ -80,8 +79,8 @@ func (c Config) SetCount() (int, error) {
 	if block == 0 {
 		block = 64
 	}
-	if c.Assoc <= 0 {
-		return 0, simerr.New(simerr.ErrBadConfig, "cache: associativity must be positive, got %d", c.Assoc)
+	if c.Assoc <= 0 || c.Assoc > maxAssoc {
+		return 0, simerr.New(simerr.ErrBadConfig, "cache: associativity must be in [1,%d], got %d", maxAssoc, c.Assoc)
 	}
 	sets := c.Sets
 	if sets == 0 {
@@ -128,15 +127,64 @@ func (s Stats) Observe(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".miss_rate", "ratio", "misses over accesses").Set(s.MissRate())
 }
 
-// Cache is a set-associative tag store.
+// Cache is a set-associative tag store. Each line's state is split
+// across arrays indexed by set*Assoc+way, so the scans a probe and an
+// eviction make read only the bytes they need:
+//
+//   - keys holds every tag inverted (^tag), a set's ways contiguous, so a
+//     probe compares 8·Assoc bytes (two host cache lines at 16 ways). An
+//     invalid line holds key 0, which folds validity into the compare;
+//     only the tag ^0 shares that key, and lookup resolves it through the
+//     valid bit.
+//   - state holds each line's LRU-stack position (0 = LRU … valid−1 =
+//     MRU; 0 for invalid lines), its quantized cost and its valid and
+//     dirty bits, four bytes per line. Probe, Fill, Invalidate, Demote
+//     and Reset keep the positions current, so a victim decision reads
+//     them instead of ranking the set.
+//   - stamps holds each line's last-access and fill sequence numbers,
+//     side by side so a fill writes one host cache line. lastUse is the
+//     recency reference RecencyRank ranks by, and the auditor and the
+//     property tests hold the positions to it; inserted orders FIFO.
 type Cache struct {
-	cfg         Config
-	policy      Policy
-	lines       []Line // sets*assoc, set-major
-	seq         uint64
-	stats       Stats
+	cfg    Config
+	policy Policy
+	assoc  int
+	keys   []uint64
+	state  []lineState
+	stamps []stamp
+	// valid counts each set's valid lines: the next free position.
+	valid []uint32
+	seq   uint64
+	stats Stats
+
 	customIndex bool
+	// A power-of-two block size or default-indexed set count is split
+	// by shift and mask (blockShift, setShift and setMask, with
+	// shiftBlock and shiftSets saying which apply); other geometries
+	// divide, and custom indexers are called.
+	shiftBlock, shiftSets bool
+	blockShift, setShift  uint8
+	setMask               uint64
 }
+
+// lineState is one line's recency position, cost and flag bits.
+type lineState struct {
+	pos   uint16
+	costQ uint8
+	flags uint8
+}
+
+// stamp is one line's last-access and fill sequence numbers.
+type stamp struct{ lastUse, inserted uint64 }
+
+const (
+	flagValid uint8 = 1 << iota
+	flagDirty
+)
+
+// maxAssoc bounds the associativity: LRU-stack positions are stored in
+// 16 bits.
+const maxAssoc = 1 << 16
 
 // New builds a cache. It panics on invalid geometry with a typed
 // simerr.ErrBadConfig error (a configuration error in the calling code,
@@ -151,22 +199,37 @@ func New(cfg Config, policy Policy) *Cache {
 		cfg.BlockBytes = 64
 	}
 	cfg.Sets = sets
-	custom := cfg.Index != nil
-	if !custom {
-		sets := uint64(cfg.Sets)
-		cfg.Index = func(block uint64) (int, uint64) {
-			return int(block % sets), block / sets
+	c := &Cache{cfg: cfg, assoc: cfg.Assoc, customIndex: cfg.Index != nil}
+	if bits, ok := log2(cfg.BlockBytes); ok {
+		c.shiftBlock, c.blockShift = true, bits
+	}
+	if !c.customIndex {
+		n := uint64(sets)
+		c.cfg.Index = func(block uint64) (int, uint64) {
+			return int(block % n), block / n
+		}
+		if bits, ok := log2(n); ok {
+			c.shiftSets, c.setShift, c.setMask = true, bits, n-1
 		}
 	}
 	if policy == nil {
 		policy = NewLRU()
 	}
-	return &Cache{
-		cfg:         cfg,
-		policy:      policy,
-		lines:       make([]Line, cfg.Sets*cfg.Assoc),
-		customIndex: custom,
+	c.policy = policy
+	n := sets * cfg.Assoc
+	c.keys = make([]uint64, n)
+	c.state = make([]lineState, n)
+	c.stamps = make([]stamp, n)
+	c.valid = make([]uint32, sets)
+	return c
+}
+
+// log2 returns the base-2 logarithm of a power of two.
+func log2(n uint64) (uint8, bool) {
+	if n == 0 || n&(n-1) != 0 {
+		return 0, false
 	}
+	return uint8(bits.TrailingZeros64(n)), true
 }
 
 // Config returns the cache's geometry.
@@ -188,46 +251,98 @@ func (c *Cache) SetPolicy(p Policy) { c.policy = p }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // BlockOf returns the block number containing the byte address.
-func (c *Cache) BlockOf(addr uint64) uint64 { return addr / c.cfg.BlockBytes }
+func (c *Cache) BlockOf(addr uint64) uint64 {
+	if c.shiftBlock {
+		return addr >> c.blockShift
+	}
+	return addr / c.cfg.BlockBytes
+}
 
 // SetOf returns the set index a byte address maps to.
 func (c *Cache) SetOf(addr uint64) int {
-	set, _ := c.cfg.Index(c.BlockOf(addr))
+	set, _ := c.index(c.BlockOf(addr))
 	return set
 }
 
-func (c *Cache) set(set int) []Line {
-	base := set * c.cfg.Assoc
-	return c.lines[base : base+c.cfg.Assoc]
+// index maps a block to its set and in-set tag (Config.Index).
+func (c *Cache) index(block uint64) (int, uint64) {
+	if c.shiftSets {
+		return int(block & c.setMask), block >> c.setShift
+	}
+	return c.cfg.Index(block)
 }
 
-func (c *Cache) find(block uint64) (set int, way int, ok bool) {
-	set, tag := c.cfg.Index(block)
-	lines := c.set(set)
-	for w := range lines {
-		if lines[w].Valid && lines[w].Tag == tag {
-			return set, w, true
+// lookup scans the set starting at line base once. It returns the way
+// holding tag, or -1; when the tag is absent, free is the
+// lowest-numbered invalid way, or -1 when the set is full.
+func (c *Cache) lookup(base int, tag uint64) (way, free int) {
+	key := ^tag
+	keys := c.keys[base : base+c.assoc]
+	state := c.state[base : base+c.assoc]
+	free = -1
+	for w, k := range keys {
+		if k != 0 {
+			if k == key {
+				return w, free
+			}
+			continue
+		}
+		// Key 0: an invalid line, or a valid one holding tag ^0.
+		if state[w].flags&flagValid != 0 {
+			if key == 0 {
+				return w, free
+			}
+		} else if free < 0 {
+			free = w
 		}
 	}
-	return set, -1, false
+	return -1, free
+}
+
+// find locates the block holding addr: its set, the set's first line
+// and the way, or -1.
+func (c *Cache) find(addr uint64) (set, base, way int) {
+	set, tag := c.index(c.BlockOf(addr))
+	base = set * c.assoc
+	way, _ = c.lookup(base, tag)
+	return set, base, way
+}
+
+// promote moves way w of the set starting at line base to the top of
+// its LRU stack: every valid line above it steps down one position.
+// Invalid lines sit at position 0 and never move.
+func (c *Cache) promote(base, w int) {
+	state := c.state[base : base+c.assoc]
+	p := state[w].pos
+	top := p
+	for i := range state {
+		var above uint16
+		if state[i].pos > p {
+			above = 1
+		}
+		state[i].pos -= above
+		top += above
+	}
+	state[w].pos = top
 }
 
 // Probe looks up the byte address. On a hit it updates recency (and the
 // dirty bit if write is set) and returns true. On a miss it returns false
 // and changes nothing; the caller services the miss and later calls Fill.
 func (c *Cache) Probe(addr uint64, write bool) bool {
-	set, way, ok := c.find(c.BlockOf(addr))
-	if !ok {
+	set, base, way := c.find(addr)
+	if way < 0 {
 		c.stats.Misses++
 		return false
 	}
 	c.stats.Hits++
 	c.seq++
-	ln := &c.set(set)[way]
-	ln.lastUse = c.seq
+	i := base + way
+	c.stamps[i].lastUse = c.seq
 	if write {
-		ln.Dirty = true
+		c.state[i].flags |= flagDirty
 	}
+	c.promote(base, way)
 	c.policy.Touched(SetView{cache: c, Index: set}, way)
 	return true
 }
@@ -235,8 +350,8 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 // Contains reports whether the block holding addr is resident, without
 // updating any replacement state.
 func (c *Cache) Contains(addr uint64) bool {
-	_, _, ok := c.find(c.BlockOf(addr))
-	return ok
+	_, _, way := c.find(addr)
+	return way >= 0
 }
 
 // CostOf returns the stored quantized cost of the block holding addr; ok
@@ -244,11 +359,11 @@ func (c *Cache) Contains(addr uint64) bool {
 // source the cost of ATD-only misses from the MTD tag store (paper §6.1,
 // footnote 6).
 func (c *Cache) CostOf(addr uint64) (costQ uint8, ok bool) {
-	set, way, ok := c.find(c.BlockOf(addr))
-	if !ok {
+	_, base, way := c.find(addr)
+	if way < 0 {
 		return 0, false
 	}
-	return c.set(set)[way].CostQ, true
+	return c.state[base+way].costQ, true
 }
 
 // Evicted describes a line displaced by Fill.
@@ -264,50 +379,43 @@ type Evicted struct {
 // the displaced line, if any. Filling an already-resident block just
 // refreshes its metadata.
 func (c *Cache) Fill(addr uint64, costQ uint8, dirty bool) (Evicted, bool) {
-	block := c.BlockOf(addr)
-	set, tag := c.cfg.Index(block)
-	lines := c.set(set)
+	set, tag := c.index(c.BlockOf(addr))
+	base := set * c.assoc
 	c.seq++
 	c.stats.Fills++
 
-	way := -1
-	for w := range lines {
-		if lines[w].Valid && lines[w].Tag == tag {
-			way = w // already resident (racing fill); refresh in place
-			break
-		}
-	}
-	if way < 0 {
-		for w := range lines {
-			if !lines[w].Valid {
-				way = w
-				break
-			}
-		}
-	}
 	var ev Evicted
 	evicted := false
-	if way < 0 {
+	way, free := c.lookup(base, tag)
+	switch {
+	case way >= 0: // already resident (racing fill); refresh in place
+		c.promote(base, way)
+	case free >= 0: // the new line tops the stack
+		way = free
+		c.state[base+way].pos = uint16(c.valid[set])
+		c.valid[set]++
+	default:
 		way = c.policy.Victim(SetView{cache: c, Index: set})
-		if way < 0 || way >= c.cfg.Assoc {
+		if way < 0 || way >= c.assoc {
 			panic(simerr.New(simerr.ErrInternal,
 				"cache: policy %s returned invalid way %d", c.policy.Name(), way))
 		}
-		old := lines[way]
-		ev = Evicted{Block: c.blockFromTag(set, old.Tag), Dirty: old.Dirty, CostQ: old.CostQ}
+		old := c.state[base+way]
+		ev = Evicted{Block: c.blockFromTag(set, ^c.keys[base+way]), Dirty: old.flags&flagDirty != 0, CostQ: old.costQ}
 		evicted = true
-		if old.Dirty {
+		if ev.Dirty {
 			c.stats.Writebacks++
 		}
+		c.promote(base, way)
 	}
-	lines[way] = Line{
-		Tag:      tag,
-		Valid:    true,
-		Dirty:    dirty,
-		CostQ:    costQ,
-		lastUse:  c.seq,
-		inserted: c.seq,
+	i := base + way
+	flags := flagValid
+	if dirty {
+		flags |= flagDirty
 	}
+	c.keys[i] = ^tag
+	c.state[i] = lineState{pos: c.state[i].pos, costQ: costQ, flags: flags}
+	c.stamps[i] = stamp{lastUse: c.seq, inserted: c.seq}
 	c.policy.Filled(SetView{cache: c, Index: set}, way)
 	return ev, evicted
 }
@@ -316,8 +424,11 @@ func (c *Cache) Fill(addr uint64, costQ uint8, dirty bool) (Evicted, bool) {
 // tag is the full block number by convention (sampled ATDs), so it is
 // returned unchanged.
 func (c *Cache) blockFromTag(set int, tag uint64) uint64 {
-	if c.customIndex {
+	switch {
+	case c.customIndex:
 		return tag
+	case c.shiftSets:
+		return tag<<c.setShift | uint64(set)
 	}
 	return tag*uint64(c.cfg.Sets) + uint64(set)
 }
@@ -326,24 +437,33 @@ func (c *Cache) blockFromTag(set int, tag uint64) uint64 {
 // without touching recency. It reports whether the block was found; the
 // simulator uses it to sink L1 writebacks into the L2.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	set, way, ok := c.find(c.BlockOf(addr))
-	if !ok {
+	_, base, way := c.find(addr)
+	if way < 0 {
 		return false
 	}
-	c.set(set)[way].Dirty = true
+	c.state[base+way].flags |= flagDirty
 	return true
 }
 
 // Invalidate drops the block holding addr if resident, returning its
-// dirtiness.
+// dirtiness. The lines above it in the LRU stack step down one position.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set, way, ok := c.find(c.BlockOf(addr))
-	if !ok {
+	set, base, way := c.find(addr)
+	if way < 0 {
 		return false, false
 	}
-	ln := &c.set(set)[way]
-	dirty := ln.Dirty
-	*ln = Line{}
+	state := c.state[base : base+c.assoc]
+	p := state[way].pos
+	for i := range state {
+		if state[i].pos > p {
+			state[i].pos--
+		}
+	}
+	dirty := state[way].flags&flagDirty != 0
+	state[way] = lineState{}
+	i := base + way
+	c.keys[i], c.stamps[i] = 0, stamp{}
+	c.valid[set]--
 	return dirty, true
 }
 
@@ -353,10 +473,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Reset returns the cache to its just-built state in place: every line
 // invalidated, the counters and the recency/fill sequence zeroed, and
 // the given replacement policy installed (nil installs plain LRU, the
-// same default New applies). The backing line array is reused, so a
-// pooled cache costs no allocation on its next run (sim.Arena).
+// same default New applies). The backing arrays are reused, so a pooled
+// cache costs no allocation on its next run (sim.Arena).
 func (c *Cache) Reset(policy Policy) {
-	clear(c.lines)
+	clear(c.keys)
+	clear(c.state)
+	clear(c.stamps)
+	clear(c.valid)
 	c.seq = 0
 	c.stats = Stats{}
 	if policy == nil {
@@ -384,32 +507,66 @@ type SetView struct {
 }
 
 // Ways returns the associativity.
-func (v SetView) Ways() int { return v.cache.cfg.Assoc }
+func (v SetView) Ways() int { return v.cache.assoc }
+
+// lines returns the set's slices of the line arrays.
+func (v SetView) lines() (state []lineState, stamps []stamp) {
+	c := v.cache
+	base := v.Index * c.assoc
+	return c.state[base : base+c.assoc], c.stamps[base : base+c.assoc]
+}
 
 // Line returns way w's entry by value.
-func (v SetView) Line(w int) Line { return v.cache.set(v.Index)[w] }
+func (v SetView) Line(w int) Line {
+	c := v.cache
+	base := v.Index * c.assoc
+	st := c.state[base : base+c.assoc][w]
+	if st.flags&flagValid == 0 {
+		return Line{}
+	}
+	return Line{Tag: ^c.keys[base+w], Valid: true, Dirty: st.flags&flagDirty != 0, CostQ: st.costQ}
+}
+
+// CostQ returns way w's stored quantized cost (0 for an invalid line):
+// Line(w).CostQ without assembling the entry.
+func (v SetView) CostQ(w int) uint8 {
+	c := v.cache
+	base := v.Index * c.assoc
+	return c.state[base : base+c.assoc][w].costQ
+}
+
+// FreeWay returns the lowest-numbered invalid way, or -1 when every way
+// holds a block.
+func (v SetView) FreeWay() int {
+	c := v.cache
+	if int(c.valid[v.Index]) == c.assoc {
+		return -1
+	}
+	state, _ := v.lines()
+	for w := range state {
+		if state[w].flags&flagValid == 0 {
+			return w
+		}
+	}
+	return -1
+}
 
 // RecencyRank returns way w's LRU-stack position: 0 for the least
 // recently used valid line, Ways()-1 for the most recently used. Invalid
 // lines rank below all valid ones.
 //
-// This is the O(A)-per-way reference implementation; policies on the
-// eviction hot path use Ranks, which computes every way's position at
-// once. The invariant auditor and the property tests keep the two in
-// agreement.
+// This is the O(A)-per-way reference implementation, computed from each
+// line's last-access sequence number; the cache maintains the same
+// positions incrementally for Ranks and LRUWay. The invariant auditor
+// and the property tests keep the two in agreement.
 func (v SetView) RecencyRank(w int) int {
-	lines := v.cache.set(v.Index)
-	me := lines[w]
+	state, stamps := v.lines()
+	if state[w].flags&flagValid == 0 {
+		return 0 // invalid lines stay at rank 0
+	}
 	rank := 0
-	for i := range lines {
-		if i == w {
-			continue
-		}
-		other := lines[i]
-		if !me.Valid {
-			continue // invalid lines stay at rank 0
-		}
-		if other.Valid && other.lastUse < me.lastUse {
+	for i := range state {
+		if i != w && state[i].flags&flagValid != 0 && stamps[i].lastUse < stamps[w].lastUse {
 			rank++
 		}
 	}
@@ -421,15 +578,15 @@ func (v SetView) RecencyRank(w int) int {
 // Insertion-policy variants (e.g. BIP) use it from their Filled hook to
 // insert at LRU instead of MRU.
 func (v SetView) Demote(w int) {
-	lines := v.cache.set(v.Index)
+	state, stamps := v.lines()
 	var minUse uint64
 	first := true
-	for i := range lines {
-		if i == w || !lines[i].Valid {
+	for i := range state {
+		if i == w || state[i].flags&flagValid == 0 {
 			continue
 		}
-		if first || lines[i].lastUse < minUse {
-			minUse = lines[i].lastUse
+		if first || stamps[i].lastUse < minUse {
+			minUse = stamps[i].lastUse
 			first = false
 		}
 	}
@@ -441,58 +598,46 @@ func (v SetView) Demote(w int) {
 		// the demoted line can take a unique bottom slot. Recency is a
 		// per-set total order over distinct lastUse values, so a
 		// uniform shift preserves it; clamping to 0 instead would give
-		// two lines the same rank and break LRU victim selection.
-		for i := range lines {
-			if i != w && lines[i].Valid {
-				lines[i].lastUse++
+		// two lines the same rank and break LRU victim selection. The
+		// shift can lift a line to seq+1, so the sequence advances
+		// with it and the next access still ranks above every line.
+		for i := range state {
+			if i != w && state[i].flags&flagValid != 0 {
+				stamps[i].lastUse++
 			}
 		}
 		v.cache.seq++
 		minUse = 1
 	}
-	lines[w].lastUse = minUse - 1
+	stamps[w].lastUse = minUse - 1
+	if state[w].flags&flagValid == 0 {
+		return
+	}
+	p := state[w].pos
+	for i := range state {
+		if state[i].flags&flagValid != 0 && state[i].pos < p {
+			state[i].pos++
+		}
+	}
+	state[w].pos = 0
 }
 
 // Ranks fills buf with every way's LRU-stack position and returns it
 // (reallocating when buf is too small, so callers can reuse a scratch
 // slice across invocations). The result agrees exactly with calling
 // RecencyRank for each way — invalid lines rank 0; a valid line's rank
-// counts the valid lines with older lastUse — but costs one sorting pass
-// over the set instead of a quadratic scan, which matters because the
-// cost-aware victim functions need all A positions on every eviction.
+// counts the valid lines with older lastUse — but is a copy of the
+// positions the cache maintains on every access, which matters because
+// the cost-aware victim functions need all A positions on every
+// eviction.
 func (v SetView) Ranks(buf []int) []int {
-	lines := v.cache.set(v.Index)
-	n := len(lines)
-	if cap(buf) < n {
-		buf = make([]int, n)
+	state, _ := v.lines()
+	if cap(buf) < len(state) {
+		buf = make([]int, len(state))
 	}
-	buf = buf[:n]
-	// Insertion-sort the valid ways by lastUse. Associativities are small
-	// (16 in the baseline), so this stays cache-resident and branch-cheap;
-	// the stack array keeps the common case allocation-free.
-	var stack [64]int
-	var order []int
-	if n <= len(stack) {
-		order = stack[:0]
-	} else {
-		order = make([]int, 0, n)
-	}
-	for w := 0; w < n; w++ {
-		buf[w] = 0
-		if !lines[w].Valid {
-			continue
-		}
-		lu := lines[w].lastUse
-		i := len(order)
-		order = append(order, w)
-		for i > 0 && lines[order[i-1]].lastUse > lu {
-			order[i] = order[i-1]
-			i--
-		}
-		order[i] = w
-	}
-	for r, w := range order {
-		buf[w] = r
+	buf = buf[:len(state)]
+	for w := range state {
+		buf[w] = int(state[w].pos)
 	}
 	return buf
 }
@@ -502,18 +647,14 @@ func (v SetView) Ranks(buf []int) []int {
 // oldest lastUse). It is the shared O(A) victim fast path under the LRU,
 // BIP and DCL policies.
 func (v SetView) LRUWay() int {
-	lines := v.cache.set(v.Index)
-	best := 0
-	for w := range lines {
-		if !lines[w].Valid {
+	if w := v.FreeWay(); w >= 0 {
+		return w
+	}
+	state, _ := v.lines()
+	for w := range state {
+		if state[w].pos == 0 {
 			return w
 		}
-		if lines[w].lastUse < lines[best].lastUse {
-			best = w
-		}
 	}
-	return best
+	return 0
 }
-
-// lru returns the way with the oldest use, preferring invalid lines.
-func (v SetView) lru() int { return v.LRUWay() }

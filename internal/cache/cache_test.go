@@ -160,8 +160,10 @@ func TestCustomIndexerATDStyle(t *testing.T) {
 	}
 }
 
-// Property: a set never holds two lines with the same tag, and the
-// recency ranks of valid lines form a permutation of 0..valid-1.
+// Property: a set never holds two lines with the same tag, the recency
+// ranks of valid lines form a permutation of 0..valid-1, and the
+// positions Ranks reports equal them, under a mix of probes, fills,
+// invalidations and demotions.
 func TestSetInvariantsProperty(t *testing.T) {
 	f := func(seed int64, opsRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -169,10 +171,19 @@ func TestSetInvariantsProperty(t *testing.T) {
 		ops := int(opsRaw%500) + 50
 		for i := 0; i < ops; i++ {
 			addr := uint64(r.Intn(64)) * 64
-			if !c.Probe(addr, r.Intn(4) == 0) {
-				c.Fill(addr, uint8(r.Intn(8)), false)
+			switch r.Intn(8) {
+			case 0:
+				c.Invalidate(addr)
+			case 1:
+				v := c.ViewSet(r.Intn(4))
+				v.Demote(r.Intn(v.Ways()))
+			default:
+				if !c.Probe(addr, r.Intn(4) == 0) {
+					c.Fill(addr, uint8(r.Intn(8)), false)
+				}
 			}
 		}
+		var buf []int
 		for s := 0; s < 4; s++ {
 			v := SetView{cache: c, Index: s}
 			tags := map[uint64]bool{}
@@ -189,11 +200,15 @@ func TestSetInvariantsProperty(t *testing.T) {
 				tags[ln.Tag] = true
 			}
 			ranks := map[int]bool{}
+			buf = v.Ranks(buf)
 			for w := 0; w < v.Ways(); w++ {
+				rk := v.RecencyRank(w)
+				if buf[w] != rk {
+					return false // maintained position disagrees
+				}
 				if !v.Line(w).Valid {
 					continue
 				}
-				rk := v.RecencyRank(w)
 				if rk < 0 || rk >= valid || ranks[rk] {
 					return false
 				}

@@ -50,13 +50,13 @@ func (*FIFO) Name() string { return "fifo" }
 
 // Victim implements Policy.
 func (*FIFO) Victim(set SetView) int {
-	lines := set.cache.set(set.Index)
+	if w := set.FreeWay(); w >= 0 {
+		return w
+	}
+	_, stamps := set.lines()
 	best := 0
-	for w := range lines {
-		if !lines[w].Valid {
-			return w
-		}
-		if lines[w].inserted < lines[best].inserted {
+	for w := range stamps {
+		if stamps[w].inserted < stamps[best].inserted {
 			best = w
 		}
 	}
@@ -80,10 +80,8 @@ func (*Random) Name() string { return "random" }
 
 // Victim implements Policy.
 func (r *Random) Victim(set SetView) int {
-	for w := 0; w < set.Ways(); w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
 	// xorshift64
 	r.state ^= r.state << 13
@@ -106,24 +104,7 @@ func NewNMRU(seed uint64) *NMRU { return &NMRU{state: seed | 1} }
 // Name implements Policy.
 func (*NMRU) Name() string { return "nmru" }
 
-// Victim implements Policy.
-func (n *NMRU) Victim(set SetView) int {
-	lines := set.cache.set(set.Index)
-	mru, lru := 0, 0
-	for w := range lines {
-		if !lines[w].Valid {
-			return w
-		}
-		if lines[w].lastUse > lines[mru].lastUse {
-			mru = w
-		}
-		if lines[w].lastUse < lines[lru].lastUse {
-			lru = w
-		}
-	}
-	if lru != mru {
-		return lru
-	}
-	// Degenerate single-way set.
-	return lru
-}
+// Victim implements Policy. The least recently used line is never the
+// most recently used one in a set of two or more valid lines, so this is
+// the LRU victim (SetView.LRUWay).
+func (*NMRU) Victim(set SetView) int { return set.LRUWay() }

@@ -59,12 +59,10 @@ func (p *BCL) Victim(set cache.SetView) int {
 // LRU fallback. One Ranks pass orders the ways by stack position; the
 // inverse map byRank[r] then drives the bottom-up cost probe in O(A).
 func bclVictim(set cache.SetView, threshold uint8, depth int, sc *bclScratch) int {
-	ways := set.Ways()
-	for w := 0; w < ways; w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
+	ways := set.Ways()
 	sc.ranks = set.Ranks(sc.ranks)
 	if cap(sc.byRank) < ways {
 		sc.byRank = make([]int, ways)
@@ -78,7 +76,7 @@ func bclVictim(set cache.SetView, threshold uint8, depth int, sc *bclScratch) in
 	}
 	for r := 0; r < depth; r++ {
 		w := byRank[r]
-		if set.Line(w).CostQ < threshold {
+		if set.CostQ(w) < threshold {
 			return w
 		}
 	}

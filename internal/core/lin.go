@@ -56,22 +56,20 @@ func (p *CostAware) Name() string { return p.name }
 
 // Victim implements cache.Policy. Invalid lines win immediately; among
 // valid lines the minimum score wins, ties broken by smaller recency.
-// All A stack positions come from one Ranks pass instead of a per-way
-// RecencyRank scan, keeping the decision O(A) — the software analogue of
-// the paper's point that replacement must be near-free in hardware.
+// The A stack positions are the ones the cache maintains on every
+// access, copied by Ranks, so the decision is one O(A) pass with no
+// ranking of its own — the software analogue of the paper's point that
+// replacement must be near-free in hardware, where R(i) is per-line tag
+// state.
 func (p *CostAware) Victim(set cache.SetView) int {
-	ways := set.Ways()
-	for w := 0; w < ways; w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
 	p.rankBuf = set.Ranks(p.rankBuf)
 	best := -1
 	bestScore, bestRecency, bestCostQ := 0, 0, 0
-	for w := 0; w < ways; w++ {
-		r := p.rankBuf[w]
-		c := int(set.Line(w).CostQ)
+	for w, r := range p.rankBuf {
+		c := int(set.CostQ(w))
 		s := p.score(r, c)
 		if best < 0 || s < bestScore || (s == bestScore && r < bestRecency) {
 			best, bestScore, bestRecency, bestCostQ = w, s, r, c

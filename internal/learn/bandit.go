@@ -51,11 +51,8 @@ type shadowArm struct {
 func (p *shadowArm) Name() string { return "shadow" }
 
 func (p *shadowArm) Victim(set cache.SetView) int {
-	ways := set.Ways()
-	for w := 0; w < ways; w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
 	p.rankBuf = set.Ranks(p.rankBuf)
 	return armVictim(p.mode, set, p.hits[set.Index*p.assoc:(set.Index+1)*p.assoc], p.rankBuf, &p.state)
@@ -99,9 +96,9 @@ func armVictim(mode int, set cache.SetView, hits []uint32, rankBuf []int, state 
 		return best
 	case armCost:
 		best := 0
-		bestCost := set.Line(0).CostQ
+		bestCost := set.CostQ(0)
 		for w := 1; w < ways; w++ {
-			c := set.Line(w).CostQ
+			c := set.CostQ(w)
 			if c < bestCost || (c == bestCost && rankBuf[w] < rankBuf[best]) {
 				best, bestCost = w, c
 			}
@@ -261,11 +258,8 @@ func (b *Bandit) observe(shadowSet int, tag uint64, costQ uint8, mtdMiss bool) {
 
 // Victim implements cache.Policy: play the best arm's eviction rule.
 func (b *Bandit) Victim(set cache.SetView) int {
-	ways := set.Ways()
-	for w := 0; w < ways; w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
 	b.rankBuf = set.Ranks(b.rankBuf)
 	arm := b.pickArm()

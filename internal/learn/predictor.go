@@ -61,17 +61,14 @@ func (p *Predictor) Model() *Model { return p.model }
 // Victim implements cache.Policy: evict the valid line with the lowest
 // remaining expected value, ties toward the LRU rank.
 func (p *Predictor) Victim(set cache.SetView) int {
-	ways := set.Ways()
-	for w := 0; w < ways; w++ {
-		if !set.Line(w).Valid {
-			return w
-		}
+	if w := set.FreeWay(); w >= 0 {
+		return w
 	}
 	p.rankBuf = set.Ranks(p.rankBuf)
 	s := &p.sets[set.Index]
 	best := -1
 	bestScore, bestRank := 0, 0
-	for w := 0; w < ways; w++ {
+	for w := range p.rankBuf {
 		// Remaining expected value: prediction minus hits already
 		// received. An untrained signature scores a neutral zero — its
 		// hits say nothing about an expectation that was never set — so
