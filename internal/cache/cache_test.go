@@ -22,6 +22,7 @@ func TestInvalidConfigsPanic(t *testing.T) {
 		{Assoc: 0, Sets: 4},
 		{Assoc: 4},
 		{Assoc: 4, Sets: -1},
+		{Assoc: maxAssoc + 1, Sets: 1}, // positions are 16-bit
 	}
 	for i, cfg := range cases {
 		func() {
