@@ -99,18 +99,34 @@ func TestStringsAdapter(t *testing.T) {
 	}
 }
 
+// TestRecencyPermutationOnLiveCache audits a cache after every access
+// of a mix that also invalidates recently filled blocks and demotes
+// lines, the two operations that move a line down the LRU stack.
 func TestRecencyPermutationOnLiveCache(t *testing.T) {
 	c := cache.New(cache.Config{Sets: 128, Assoc: 4, BlockBytes: 64}, cache.NewLRU())
+	a := New(1, RecencyPermutation("l2-recency", c), CostQBound("l2-costq", c, 7))
+	sets := uint64(c.Config().Sets)
 	for i := uint64(0); i < 4096; i++ {
 		addr := (i * 2654435761) % (1 << 20)
-		if !c.Probe(addr, false) {
-			c.Fill(addr, uint8(i%8), false)
+		switch i % 8 {
+		case 3, 6: // drop or demote a line of addr's set, whatever its position
+			set := c.SetOf(addr)
+			view := c.ViewSet(set)
+			w := int(i/8) % view.Ways()
+			ln := view.Line(w)
+			switch {
+			case !ln.Valid:
+			case i%8 == 3:
+				c.Invalidate((ln.Tag*sets + uint64(set)) * 64)
+			default:
+				view.Demote(w)
+			}
+		default:
+			if !c.Probe(addr, false) {
+				c.Fill(addr, uint8(i%8), false)
+			}
 		}
-	}
-	a := New(1, RecencyPermutation("l2-recency", c), CostQBound("l2-costq", c, 7))
-	// Enough passes for the rotating window to cover all sets twice.
-	for cycle := uint64(1); cycle <= 8; cycle++ {
-		a.MaybeCheck(cycle)
+		a.MaybeCheck(i + 1)
 	}
 	if err := a.Report().Err(); err != nil {
 		t.Fatalf("live LRU cache violates invariants: %v", err)

@@ -7,7 +7,7 @@ import (
 )
 
 // recencyWindow is how many sets one RecencyPermutation pass inspects.
-// Ranking a set is O(assoc²) through the public SetView API, so a full
+// The reference ranking of a set is O(assoc²) (RecencyRank), so a full
 // 1024-set scan per pass would dominate small runs; a rotating window
 // still covers the whole cache every sets/window passes.
 const recencyWindow = 64
@@ -15,8 +15,10 @@ const recencyWindow = 64
 // RecencyPermutation returns a checker verifying that each inspected
 // set's recency ranks form a permutation of 0..v-1 over its v valid
 // lines — the LRU-stack property every recency-based policy in the
-// simulator relies on. Each pass audits a rotating window of sets so the
-// whole cache is covered across passes at bounded per-pass cost.
+// simulator relies on — and that the positions the cache maintains for
+// its policies (SetView.Ranks) equal those reference ranks way by way.
+// Each pass audits a rotating window of sets so the whole cache is
+// covered across passes at bounded per-pass cost.
 func RecencyPermutation(name string, c *cache.Cache) Checker {
 	next := 0
 	return Func(name, func(_ uint64, report func(string)) {
@@ -41,12 +43,17 @@ func checkSetRecency(c *cache.Cache, set int, report func(string)) {
 			valid++
 		}
 	}
+	ranks := view.Ranks(nil)
 	seen := make([]bool, valid)
 	for w := 0; w < view.Ways(); w++ {
+		rank := view.RecencyRank(w)
+		if ranks[w] != rank {
+			report(fmt.Sprintf("set %d way %d: maintained LRU-stack position %d, recency rank %d", set, w, ranks[w], rank))
+			return
+		}
 		if !view.Line(w).Valid {
 			continue
 		}
-		rank := view.RecencyRank(w)
 		if rank < 0 || rank >= valid {
 			report(fmt.Sprintf("set %d way %d: recency rank %d outside [0,%d)", set, w, rank, valid))
 			return
