@@ -16,6 +16,7 @@
 package oracle
 
 import (
+	"mlpcache/internal/blockmap"
 	"mlpcache/internal/core"
 	"mlpcache/internal/sim"
 )
@@ -79,14 +80,22 @@ func (l *Log) Blocks() []uint64 {
 // it as Config.Capture, run, then read Log.
 type Capture struct {
 	log Log
-	// pending maps an in-flight block to the indices of its unpatched
-	// miss and merge records.
-	pending map[uint64][]int
+	// pending maps an in-flight block to its newest unpatched miss or
+	// merge record, as an index into links; each link names its record
+	// and the block's previous link (-1 ends the chain). A fill patches
+	// the chain and returns its links to the free list headed by free,
+	// so the links in use never outnumber the records in flight.
+	pending *blockmap.Table[int]
+	links   []pendingLink
+	free    int
 }
+
+// pendingLink is one unpatched record in a block's chain.
+type pendingLink struct{ rec, prev int }
 
 // NewCapture returns an empty capture sink.
 func NewCapture() *Capture {
-	return &Capture{pending: make(map[uint64][]int)}
+	return &Capture{pending: blockmap.New[int](64), free: -1}
 }
 
 // OnL2Access implements sim.AccessObserver.
@@ -98,10 +107,28 @@ func (c *Capture) OnL2Access(block uint64, kind sim.AccessKind, costQ uint8) {
 	switch kind {
 	case sim.AccessMiss:
 		c.log.LiveMisses++
-		c.pending[block] = append(c.pending[block], len(c.log.Records)-1)
+		c.hold(block)
 	case sim.AccessMerge:
-		c.pending[block] = append(c.pending[block], len(c.log.Records)-1)
+		c.hold(block)
 	}
+}
+
+// hold chains the newest record onto block's unpatched ones.
+func (c *Capture) hold(block uint64) {
+	prev, ok := c.pending.Get(block)
+	if !ok {
+		prev = -1
+	}
+	link := pendingLink{rec: len(c.log.Records) - 1, prev: prev}
+	i := c.free
+	if i >= 0 {
+		c.free = c.links[i].prev
+		c.links[i] = link
+	} else {
+		i = len(c.links)
+		c.links = append(c.links, link)
+	}
+	c.pending.Put(block, i)
 }
 
 // OnMissCost implements sim.AccessObserver: the block's fill computed
@@ -112,10 +139,15 @@ func (c *Capture) OnMissCost(block uint64, costQ uint8) {
 	if costQ > core.CostQMax {
 		costQ = core.CostQMax
 	}
-	for _, i := range c.pending[block] {
-		c.log.Records[i].CostQ = costQ
+	if i, ok := c.pending.Get(block); ok {
+		for i >= 0 {
+			link := c.links[i]
+			c.log.Records[link.rec].CostQ = costQ
+			c.links[i].prev, c.free = c.free, i
+			i = link.prev
+		}
+		c.pending.Delete(block)
 	}
-	delete(c.pending, block)
 	c.log.LiveCost += uint64(costQ)
 }
 

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlpcache/internal/cache"
@@ -128,6 +129,36 @@ func captureRun(t *testing.T, bench string, spec sim.PolicySpec, n uint64) (sim.
 		t.Fatalf("captured run failed: %v", err)
 	}
 	return res, cap.Log()
+}
+
+// TestCapturePatchesEachBlocksRecords interleaves two blocks' misses
+// and merges: each fill patches exactly its own block's records, with
+// the cost clamped to 3 bits, and a later miss to a filled block opens
+// a fresh chain on recycled links.
+func TestCapturePatchesEachBlocksRecords(t *testing.T) {
+	c := NewCapture()
+	c.OnL2Access(1, sim.AccessMiss, 0)
+	c.OnL2Access(2, sim.AccessMiss, 0)
+	c.OnL2Access(1, sim.AccessMerge, 0)
+	c.OnL2Access(3, sim.AccessHit, 5)
+	c.OnMissCost(1, 4)
+	c.OnL2Access(1, sim.AccessMiss, 0)
+	c.OnL2Access(2, sim.AccessMerge, 0)
+	c.OnL2Access(1, sim.AccessMerge, 0)
+	c.OnMissCost(2, 9)
+	c.OnMissCost(1, 6)
+	c.OnL2Access(4, sim.AccessMiss, 0) // still in flight at the end
+	log := c.Log()
+	var got []uint8
+	for _, rec := range log.Records {
+		got = append(got, rec.CostQ)
+	}
+	if want := []uint8{4, 7, 4, 5, 6, 7, 6, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("record costs %v, want %v", got, want)
+	}
+	if log.LiveMisses != 4 || log.LiveCost != 4+7+6 {
+		t.Errorf("live misses %d, cost %d; want 4, 17", log.LiveMisses, log.LiveCost)
+	}
 }
 
 // TestCaptureMatchesLiveCounters asserts the capture sink's own
