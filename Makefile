@@ -11,8 +11,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs both repo-convention checks (tools/lint): package-comment
-# paper anchors and the no-telemetry-on-stdout rule for the CLIs.
+# lint runs the repo-convention checks (tools/lint): package-comment
+# paper anchors, the no-telemetry-on-stdout rule for the CLIs, and gofmt
+# formatting of every .go file (it fails when `gofmt -l` would print one).
 lint:
 	$(GO) run ./tools/lint
 
@@ -44,10 +45,11 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-smoke runs the observability, tracing, oracle, multi-core,
-# learned-eviction and arena benchmarks, and the core's per-layer
-# BenchmarkWindow, once each and fails if any stops being selected — a
-# renamed or deleted benchmark silently vanishes from `go test -bench`,
-# so the output is grepped for each name.
+# learned-eviction and arena benchmarks, and the per-layer
+# microbenchmarks (the core's BenchmarkWindow, the L2 tag store and
+# policies' BenchmarkL2Access), once each and fails if any stops being
+# selected — a renamed or deleted benchmark silently vanishes from
+# `go test -bench`, so the output is grepped for each name.
 bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
@@ -57,6 +59,11 @@ bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkWindow' -benchtime 1x -run '^$$' ./internal/cpu)"; \
 	echo "$$out"; \
 	for name in BenchmarkWindow/resident BenchmarkWindow/chase; do \
+		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
+	done
+	@out="$$($(GO) test -bench 'BenchmarkL2Access' -benchtime 1x -run '^$$' ./internal/core)"; \
+	echo "$$out"; \
+	for name in BenchmarkL2Access/lru BenchmarkL2Access/lin4 BenchmarkL2Access/sbar; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
