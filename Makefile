@@ -11,11 +11,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo-convention checks (tools/lint): package-comment
-# paper anchors, the no-telemetry-on-stdout rule for the CLIs, and gofmt
-# formatting of every .go file (it fails when `gofmt -l` would print one).
+# lint runs both repo-convention checks (tools/lint): package-comment
+# paper anchors and the no-telemetry-on-stdout rule for the CLIs. It
+# then fails if gofmt would reformat any .go file in the tree.
 lint:
 	$(GO) run ./tools/lint
+	@out="$$("$$($(GO) env GOROOT)/bin/gofmt" -l .)"; \
+	if [ -n "$$out" ]; then echo "lint: gofmt -l lists files to format with gofmt -w:" >&2; echo "$$out" >&2; exit 1; fi
 
 # docs-check verifies every internal package comment anchors the code to
 # the paper (Section/Figure/Table/Algorithm N) — the godoc contract.

@@ -13,7 +13,7 @@ func driveCache(c *Cache, seed int64) ([]bool, []Evicted, Stats) {
 	var hits []bool
 	var evs []Evicted
 	for i := 0; i < 4_000; i++ {
-		addr := uint64(rng.Intn(1 << 14) * 64)
+		addr := uint64(rng.Intn(1<<14) * 64)
 		switch rng.Intn(4) {
 		case 0:
 			hits = append(hits, c.Probe(addr, rng.Intn(2) == 0))
