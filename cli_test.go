@@ -15,6 +15,7 @@ import (
 
 	"mlpcache"
 	"mlpcache/internal/faultinject"
+	"mlpcache/internal/sim"
 )
 
 // End-to-end tests of the three command-line tools: build each binary
@@ -110,6 +111,28 @@ func TestCLIEndToEnd(t *testing.T) {
 		out = runTool(t, dir, "mlpsim", "-trace", tr, "-hist=false")
 		if !strings.Contains(out, "instructions 60000") {
 			t.Fatalf("replay failed:\n%s", out)
+		}
+	})
+
+	// The -policy help names exactly the kinds the flag accepts.
+	t.Run("mlpsim-policy-help", func(t *testing.T) {
+		out := runTool(t, dir, "mlpsim", "-h")
+		_, usage, ok := strings.Cut(out, "replacement policy: ")
+		if !ok {
+			t.Fatalf("-h prints no -policy usage:\n%s", out)
+		}
+		usage, _, _ = strings.Cut(usage, " ")
+		listed := map[string]bool{}
+		for _, kind := range strings.Split(usage, "|") {
+			listed[kind] = true
+		}
+		for _, kind := range sim.AllPolicies {
+			if !listed[string(kind)] {
+				t.Errorf("-policy help %q omits %q", usage, kind)
+			}
+		}
+		if len(listed) != len(sim.AllPolicies) {
+			t.Errorf("-policy help lists %d kinds, sim.AllPolicies has %d: %q", len(listed), len(sim.AllPolicies), usage)
 		}
 	})
 

@@ -58,7 +58,7 @@ func main() {
 	var (
 		bench       = flag.String("bench", "mcf", "benchmark model to run (see -list); with -cores N, a comma-separated mix (last entry repeats)")
 		cores       = flag.Int("cores", 1, "cores sharing the contended L2 (multi-core mode when >1; core i seeds its model with seed+i)")
-		policy      = flag.String("policy", "lru", "replacement policy: lru|fifo|random|nmru|lin|sbar|cbs-local|cbs-global|bandit|learned")
+		policy      = flag.String("policy", "lru", "replacement policy: "+policyKinds())
 		modelPath   = flag.String("model", "", "trained model file for -policy learned (mlptrain output; empty: untrained default, behaves like LRU)")
 		lambda      = flag.Int("lambda", 4, "LIN λ (also used inside SBAR/CBS)")
 		leaders     = flag.Int("leaders", 32, "SBAR leader sets")
@@ -435,4 +435,14 @@ func printReport(res sim.Result, benchLabel string, hist bool) {
 				res.Series.AvgCostQ.Points[i].Value)
 		}
 	}
+}
+
+// policyKinds lists every -policy value, sim.AllPolicies in order,
+// separated by "|".
+func policyKinds() string {
+	kinds := make([]string, len(sim.AllPolicies))
+	for i, k := range sim.AllPolicies {
+		kinds[i] = string(k)
+	}
+	return strings.Join(kinds, "|")
 }
