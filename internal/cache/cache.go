@@ -330,7 +330,9 @@ func (c *Cache) promote(base, w int) {
 // dirty bit if write is set) and returns true. On a miss it returns false
 // and changes nothing; the caller services the miss and later calls Fill.
 func (c *Cache) Probe(addr uint64, write bool) bool {
-	set, base, way := c.find(addr)
+	set, tag := c.index(c.BlockOf(addr))
+	base := set * c.assoc
+	way, _ := c.lookup(base, tag)
 	if way < 0 {
 		c.stats.Misses++
 		return false
@@ -342,7 +344,9 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	if write {
 		c.state[i].flags |= flagDirty
 	}
-	c.promote(base, way)
+	if int(c.state[i].pos)+1 != int(c.valid[set]) { // not already MRU
+		c.promote(base, way)
+	}
 	c.policy.Touched(SetView{cache: c, Index: set}, way)
 	return true
 }
