@@ -161,6 +161,39 @@ func TestCustomIndexerATDStyle(t *testing.T) {
 	}
 }
 
+// TestAllOnesTag covers the one tag whose stored key equals an invalid
+// line's: with one set and one-byte blocks the tag is the address, so
+// address ^0 is tag ^0. Its line must hit, must not be taken for a free
+// way, and must be evicted and invalidated like any other.
+func TestAllOnesTag(t *testing.T) {
+	const top = ^uint64(0)
+	c := New(Config{Sets: 1, Assoc: 2, BlockBytes: 1}, NewLRU())
+	if c.Probe(top, false) {
+		t.Fatal("empty cache hit tag ^0")
+	}
+	c.Fill(top, 3, false)
+	if !c.Probe(top, false) {
+		t.Fatal("tag ^0 missed after its fill")
+	}
+	if _, evicted := c.Fill(5, 0, false); evicted {
+		t.Fatal("fill beside tag ^0 evicted instead of taking the free way")
+	}
+	if ln := c.ViewSet(0).Line(0); !ln.Valid || ln.Tag != top || ln.CostQ != 3 {
+		t.Fatalf("tag ^0 line = %+v", ln)
+	}
+	ev, evicted := c.Fill(7, 0, false) // tag ^0 is least recently used
+	if !evicted || ev.Block != top || ev.CostQ != 3 {
+		t.Fatalf("evicted %+v (%v), want block ^0 with cost 3", ev, evicted)
+	}
+	c.Fill(top, 0, true)
+	if dirty, present := c.Invalidate(top); !dirty || !present || c.Contains(top) {
+		t.Fatalf("Invalidate(^0) = %v, %v; still present %v", dirty, present, c.Contains(top))
+	}
+	if !c.Contains(7) {
+		t.Fatal("invalidating tag ^0 dropped another line")
+	}
+}
+
 // Property: a set never holds two lines with the same tag, the recency
 // ranks of valid lines form a permutation of 0..valid-1, and the
 // positions Ranks reports equal them, under a mix of probes, fills,
