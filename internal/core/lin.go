@@ -15,12 +15,9 @@ import (
 // smaller recency value, exactly as the LIN policy specifies.
 type CostAware struct {
 	cache.Base
-	name string
-	// lambda weights cost_q in LIN's R + λ·cost_q, which Victim computes
-	// inline; score, when set (NewCostAware), replaces that form.
-	lambda int
-	score  func(recency, costQ int) int
-	tr     metrics.Tracer
+	name  string
+	score func(recency, costQ int) int
+	tr    metrics.Tracer
 	// rankBuf is the Ranks scratch slice, reused across victim decisions
 	// to keep the eviction path allocation-free. Policies are per-run
 	// objects driven from a single goroutine, so one buffer suffices.
@@ -49,7 +46,9 @@ func NewLIN(lambda int) *CostAware {
 	if lambda < 0 {
 		panic(simerr.New(simerr.ErrBadConfig, "core: LIN lambda must be non-negative, got %d", lambda))
 	}
-	return &CostAware{name: fmt.Sprintf("lin%d", lambda), lambda: lambda}
+	return NewCostAware(fmt.Sprintf("lin%d", lambda), func(r, c int) int {
+		return r + lambda*c
+	})
 }
 
 // Name implements cache.Policy.
@@ -71,10 +70,7 @@ func (p *CostAware) Victim(set cache.SetView) int {
 	bestScore, bestRecency, bestCostQ := 0, 0, 0
 	for w, r := range p.rankBuf {
 		c := int(set.CostQ(w))
-		s := r + p.lambda*c
-		if p.score != nil {
-			s = p.score(r, c)
-		}
+		s := p.score(r, c)
 		if best < 0 || s < bestScore || (s == bestScore && r < bestRecency) {
 			best, bestScore, bestRecency, bestCostQ = w, s, r, c
 		}
