@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,6 +134,80 @@ func goldenStreams() []goldenStream {
 				trace.MixPart{Src: trace.NewConcat(slice(200, 29), chase(300, 30)), Weight: 1, Chunk: 50}), 12_345)
 		}},
 	}
+
+	// Parts whose ends fall on each side of the 32- and 64-instruction
+	// marks, in one-instruction chunks, in chunks shorter and longer than
+	// those marks, and in Phases legs of the same lengths. A part that
+	// ends exactly on a mark is drawn again after it has nothing left.
+	for _, lens := range [][3]int{{31, 32, 33}, {63, 64, 65}, {127, 128, 129}} {
+		nested = append(nested, goldenStream{name: fmt.Sprintf("stage/ones-%d-%d-%d", lens[0], lens[1], lens[2]), n: 10_000, build: func() trace.Source {
+			return trace.NewMix(31,
+				trace.MixPart{Src: chase(lens[0], 32), Weight: 1},
+				trace.MixPart{Src: stream(lens[1], 33), Weight: 2},
+				trace.MixPart{Src: slice(lens[2], 34), Weight: 1},
+				trace.MixPart{Src: twoPass(lens[1], 35), Weight: 1})
+		}})
+	}
+	for _, chunk := range []int{7, 8, 63, 64, 65} {
+		parts := func() []trace.Source {
+			return []trace.Source{
+				chase(31, 36), stream(32, 37), slice(33, 38),
+				twoPass(63, 39), chase(64, 40), slice(65, 41),
+			}
+		}
+		nested = append(nested, goldenStream{name: fmt.Sprintf("stage/mix-chunk%d", chunk), n: 10_000, build: func() trace.Source {
+			var mps []trace.MixPart
+			for i, src := range parts() {
+				mps = append(mps, trace.MixPart{Src: src, Weight: float64(1 + i%3), Chunk: chunk})
+			}
+			return trace.NewMix(42, mps...)
+		}})
+		nested = append(nested, goldenStream{name: fmt.Sprintf("stage/phases-len%d", chunk), n: 10_000, build: func() trace.Source {
+			var ps []trace.Phase
+			for _, src := range parts() {
+				ps = append(ps, trace.Phase{Src: src, Len: chunk})
+			}
+			return trace.NewPhases(ps...)
+		}})
+	}
+	nested = append(nested,
+		// Parts that run dry exactly as the 32-instruction mark drains:
+		// the slices are drawn again once they hold nothing.
+		goldenStream{name: "stage/dry-as-drained", n: 10_000, build: func() trace.Source {
+			return trace.NewMix(43,
+				trace.MixPart{Src: slice(32, 44), Weight: 5},
+				trace.MixPart{Src: slice(64, 45), Weight: 5, Chunk: 8},
+				trace.MixPart{Src: chase(40, 46), Weight: 3, Chunk: 8},
+				trace.MixPart{Src: stream(1000, 47), Weight: 1, Chunk: 3})
+		}},
+		goldenStream{name: "stage/phases-len1", n: 10_000, build: func() trace.Source {
+			return trace.NewPhases(
+				trace.Phase{Src: chase(500, 48), Len: 1},
+				trace.Phase{Src: stream(300, 49), Len: 1},
+				trace.Phase{Src: slice(200, 50), Len: 2},
+				trace.Phase{Src: twoPass(64, 51), Len: 1})
+		}},
+		// Weights NewMix takes as given: a NaN or an infinite live sum
+		// leaves every draw to the last live part.
+		goldenStream{name: "mix/nan-weight", n: 30_000, build: func() trace.Source {
+			return trace.NewMix(52,
+				trace.MixPart{Src: chase(10_000, 53), Weight: 1},
+				trace.MixPart{Src: stream(10_000, 54), Weight: math.NaN(), Chunk: 3},
+				trace.MixPart{Src: slice(10_000, 55), Weight: 2})
+		}},
+		goldenStream{name: "mix/inf-weight", n: 30_000, build: func() trace.Source {
+			return trace.NewMix(56,
+				trace.MixPart{Src: chase(10_000, 57), Weight: 1},
+				trace.MixPart{Src: stream(10_000, 58), Weight: math.Inf(1), Chunk: 3},
+				trace.MixPart{Src: slice(10_000, 59), Weight: 2})
+		}},
+		goldenStream{name: "mix/overflowing-weights", n: 30_000, build: func() trace.Source {
+			return trace.NewMix(60,
+				trace.MixPart{Src: chase(10_000, 61), Weight: math.MaxFloat64},
+				trace.MixPart{Src: stream(10_000, 62), Weight: math.MaxFloat64, Chunk: 3},
+				trace.MixPart{Src: slice(10_000, 63), Weight: 1})
+		}},
+	)
 	return append(streams, nested...)
 }
 
