@@ -314,17 +314,6 @@ func TestPolicyVictims(t *testing.T) {
 			}
 		}
 	})
-	t.Run("nmru-protects-mru", func(t *testing.T) {
-		c := newTestCache(1, 4, NewNMRU(7))
-		for b := uint64(0); b < 4; b++ {
-			c.Fill(b*64, 0, false)
-		}
-		c.Probe(2*64, false) // block 2 is MRU
-		ev, _ := c.Fill(4*64, 0, false)
-		if ev.Block == 2 {
-			t.Fatal("NMRU evicted the MRU block")
-		}
-	})
 }
 
 func TestPolicyPanicsOnBadVictim(t *testing.T) {
@@ -450,7 +439,7 @@ func TestAccessorsAndStats(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{NewLRU(), NewFIFO(), NewRandom(1), NewNMRU(1)} {
+	for _, p := range []Policy{NewLRU(), NewFIFO(), NewRandom(1)} {
 		if p.Name() == "" {
 			t.Fatal("empty policy name")
 		}
@@ -458,14 +447,5 @@ func TestPolicyNames(t *testing.T) {
 		c := newTestCache(1, 2, p)
 		c.Fill(0, 0, false)
 		c.Probe(0, false)
-	}
-}
-
-func TestNMRUSingleWay(t *testing.T) {
-	c := newTestCache(1, 1, NewNMRU(3))
-	c.Fill(0, 0, false)
-	ev, evicted := c.Fill(64, 0, false)
-	if !evicted || ev.Block != 0 {
-		t.Fatal("degenerate single-way NMRU must still evict")
 	}
 }

@@ -89,22 +89,3 @@ func (r *Random) Victim(set SetView) int {
 	r.state ^= r.state << 17
 	return int(r.state % uint64(set.Ways()))
 }
-
-// NMRU evicts the least recently used among all lines except the most
-// recently used (equivalent to LRU for 2-way caches; cheaper in hardware
-// for higher associativity). Included as an additional CARE baseline.
-type NMRU struct {
-	Base
-	state uint64
-}
-
-// NewNMRU returns the not-most-recently-used policy seeded with seed.
-func NewNMRU(seed uint64) *NMRU { return &NMRU{state: seed | 1} }
-
-// Name implements Policy.
-func (*NMRU) Name() string { return "nmru" }
-
-// Victim implements Policy. The least recently used line is never the
-// most recently used one in a set of two or more valid lines, so this is
-// the LRU victim (SetView.LRUWay).
-func (*NMRU) Victim(set SetView) int { return set.LRUWay() }

@@ -30,7 +30,6 @@ const (
 	PolicyLRU       PolicyKind = "lru"
 	PolicyFIFO      PolicyKind = "fifo"
 	PolicyRandom    PolicyKind = "random"
-	PolicyNMRU      PolicyKind = "nmru"
 	PolicyLIN       PolicyKind = "lin"
 	PolicyBCL       PolicyKind = "bcl"
 	PolicyDCL       PolicyKind = "dcl"
@@ -45,7 +44,7 @@ const (
 // AllPolicies lists every supported replacement configuration; the
 // robustness sweep and CLIs iterate it.
 var AllPolicies = []PolicyKind{
-	PolicyLRU, PolicyFIFO, PolicyRandom, PolicyNMRU, PolicyLIN,
+	PolicyLRU, PolicyFIFO, PolicyRandom, PolicyLIN,
 	PolicyBCL, PolicyDCL, PolicyDIP, PolicySBAR, PolicyCBSLocal, PolicyCBSGlobal,
 	PolicyBandit, PolicyLearned,
 }
@@ -328,8 +327,6 @@ func buildL2(cfg Config, threads int) (*cache.Cache, core.Hybrid, error) {
 		l2.SetPolicy(cache.NewFIFO())
 	case PolicyRandom:
 		l2.SetPolicy(cache.NewRandom(spec.Seed + 1))
-	case PolicyNMRU:
-		l2.SetPolicy(cache.NewNMRU(spec.Seed + 1))
 	case PolicyLIN:
 		l2.SetPolicy(core.NewLIN(spec.lambda()))
 	case PolicyBCL:

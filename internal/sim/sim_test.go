@@ -141,7 +141,7 @@ func TestKParallelChasesCostLatencyOverK(t *testing.T) {
 
 func TestPolicies(t *testing.T) {
 	for _, kind := range []PolicyKind{
-		PolicyLRU, PolicyFIFO, PolicyRandom, PolicyNMRU, PolicyLIN,
+		PolicyLRU, PolicyFIFO, PolicyRandom, PolicyLIN,
 		PolicyBCL, PolicyDCL, PolicyDIP,
 		PolicySBAR, PolicyCBSLocal, PolicyCBSGlobal,
 	} {

@@ -60,7 +60,6 @@ const (
 	PolicyLRU       = sim.PolicyLRU
 	PolicyFIFO      = sim.PolicyFIFO
 	PolicyRandom    = sim.PolicyRandom
-	PolicyNMRU      = sim.PolicyNMRU
 	PolicyLIN       = sim.PolicyLIN
 	PolicyBCL       = sim.PolicyBCL
 	PolicyDCL       = sim.PolicyDCL
