@@ -49,7 +49,8 @@ bench:
 # bench-smoke runs the observability, tracing, oracle, multi-core,
 # learned-eviction and arena benchmarks, and the per-layer
 # microbenchmarks (the core's BenchmarkWindow, the L2 tag store and
-# policies' BenchmarkL2Access), once each and fails if any stops being
+# policies' BenchmarkL2Access, each model's instruction supply in
+# BenchmarkSupply), once each and fails if any stops being
 # selected — a renamed or deleted benchmark silently vanishes from
 # `go test -bench`, so the output is grepped for each name.
 bench-smoke:
@@ -66,6 +67,11 @@ bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkL2Access' -benchtime 1x -run '^$$' ./internal/core)"; \
 	echo "$$out"; \
 	for name in BenchmarkL2Access/lru BenchmarkL2Access/lin4 BenchmarkL2Access/sbar; do \
+		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
+	done
+	@out="$$($(GO) test -bench 'BenchmarkSupply' -benchtime 1x -run '^$$' ./internal/workload)"; \
+	echo "$$out"; \
+	for name in BenchmarkSupply/mcf BenchmarkSupply/equake BenchmarkSupply/twolf BenchmarkSupply/bzip2; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
