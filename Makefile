@@ -35,13 +35,16 @@ race:
 # mlpcache.model/v1 learned-model files) must survive arbitrary bytes,
 # and encode→decode must round-trip. FuzzReadBatch holds the batched
 # Mix/Phases/Limit path to the per-instruction reference interleavers
-# under random trees and draw schedules.
+# under random trees and draw schedules. FuzzConfig runs short
+# simulations of random machine configurations: each must run or be
+# rejected with ErrBadConfig, never panic.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceDecode -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzReadBatch -fuzztime 5s
 	$(GO) test ./internal/metrics/ -run '^$$' -fuzz FuzzEventsV2Decode -fuzztime 5s
 	$(GO) test ./internal/learn/ -run '^$$' -fuzz FuzzModelDecode -fuzztime 5s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzConfig -fuzztime 5s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -31,6 +31,12 @@ type Hybrid interface {
 	AdvanceEpoch()
 	// UsingLIN reports the policy currently selected for the given set.
 	UsingLIN(set int) bool
+	// Stats returns the selection counters.
+	Stats() HybridStats
+	// PselValue reads the selector counter the Figure 11 series samples:
+	// SBAR's thread-0 PSEL, or CBS's set-0 counter (the only one under
+	// the global scope).
+	PselValue() int
 }
 
 // HybridStats counts a hybrid's selection activity.

@@ -29,9 +29,6 @@ type Config struct {
 	// approximation with that many adders (the paper uses 4). Zero
 	// selects the exact per-entry update.
 	Adders int
-	// CostCap saturates each entry's accumulated cost, modelling a
-	// finite-width cost register. Zero means unbounded.
-	CostCap float64
 }
 
 // Validate checks the configuration, wrapping failures in
@@ -42,9 +39,6 @@ func (c Config) Validate() error {
 	}
 	if c.Adders < 0 {
 		return simerr.New(simerr.ErrBadConfig, "mshr: Adders must be non-negative, got %d", c.Adders)
-	}
-	if c.CostCap < 0 {
-		return simerr.New(simerr.ErrBadConfig, "mshr: CostCap must be non-negative, got %v", c.CostCap)
 	}
 	return nil
 }
@@ -275,16 +269,9 @@ func (m *MSHR) Tick(cycle uint64) {
 		}
 		elapsed := float64(cycle - m.entries[i].lastUpdate)
 		if elapsed > 0 {
-			m.addCost(i, elapsed*share)
+			m.entries[i].cost += elapsed * share
 			m.entries[i].lastUpdate = cycle
 		}
-	}
-}
-
-func (m *MSHR) addCost(i int, amount float64) {
-	m.entries[i].cost += amount
-	if m.cfg.CostCap > 0 && m.entries[i].cost > m.cfg.CostCap {
-		m.entries[i].cost = m.cfg.CostCap
 	}
 }
 
@@ -306,16 +293,13 @@ func (m *MSHR) Free(block uint64, cycle uint64) (float64, error) {
 		if e.demand {
 			m.advanceClock(cycle)
 			cost = m.clock - e.base
-			if m.cfg.CostCap > 0 && cost > m.cfg.CostCap {
-				cost = m.cfg.CostCap
-			}
 		}
 	default:
 		if e.demand && m.demand > 0 {
 			// Credit the tail the round-robin scan has not
 			// reached yet.
 			if elapsed := float64(cycle - e.lastUpdate); elapsed > 0 {
-				m.addCost(i, elapsed/float64(m.demand))
+				e.cost += elapsed / float64(m.demand)
 			}
 		}
 		cost = e.cost

@@ -182,13 +182,12 @@ func TestConfigValidate(t *testing.T) {
 		{},
 		{Entries: -1},
 		{Entries: 4, Adders: -2},
-		{Entries: 4, CostCap: -1},
 	} {
 		if err := bad.Validate(); !errors.Is(err, simerr.ErrBadConfig) {
 			t.Fatalf("Validate(%+v) = %v, want ErrBadConfig", bad, err)
 		}
 	}
-	if err := (Config{Entries: 32, Adders: 4, CostCap: 420}).Validate(); err != nil {
+	if err := (Config{Entries: 32, Adders: 4}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -227,14 +226,6 @@ func TestDemandUpgradeStartsCharging(t *testing.T) {
 	}
 	if cost := free(t, m, 1, 200); math.Abs(cost-100) > 1e-9 {
 		t.Fatalf("upgraded cost = %v, want 100 (charged from upgrade)", cost)
-	}
-}
-
-func TestCostCap(t *testing.T) {
-	m := New(Config{Entries: 4, CostCap: 100})
-	m.Allocate(1, true, 0)
-	if cost := free(t, m, 1, 10_000); cost != 100 {
-		t.Fatalf("capped cost = %v, want 100", cost)
 	}
 }
 

@@ -30,14 +30,15 @@ type Config struct {
 	// almost always late; a distance of several strides gives the
 	// request time to complete before the demand stream arrives.
 	Distance int
-	// RegionBits groups addresses into streams by their high bits
-	// (default 16: 64 KB regions).
-	RegionBits int
 }
 
+// regionBits groups addresses into streams by their high bits: 64 KB
+// regions.
+const regionBits = 16
+
 // Validate checks the configuration, wrapping failures in
-// simerr.ErrBadConfig. Degree, Distance and RegionBits have defaults
-// applied by New, so only Streams can be invalid.
+// simerr.ErrBadConfig. Degree and Distance have defaults applied by
+// New, so only Streams can be invalid.
 func (c Config) Validate() error {
 	if c.Streams <= 0 {
 		return simerr.New(simerr.ErrBadConfig, "prefetch: Streams must be positive, got %d", c.Streams)
@@ -47,7 +48,7 @@ func (c Config) Validate() error {
 
 // DefaultConfig returns a 16-stream, degree-4, distance-12 prefetcher.
 func DefaultConfig() Config {
-	return Config{Streams: 16, Degree: 4, Distance: 12, RegionBits: 16}
+	return Config{Streams: 16, Degree: 4, Distance: 12}
 }
 
 // Stats counts prefetcher activity. Accuracy is confirmed hits over
@@ -92,9 +93,6 @@ func New(cfg Config) *Prefetcher {
 	if cfg.Distance <= 0 {
 		cfg.Distance = 1
 	}
-	if cfg.RegionBits <= 0 {
-		cfg.RegionBits = 16
-	}
 	return &Prefetcher{cfg: cfg, entries: make([]streamEntry, cfg.Streams)}
 }
 
@@ -106,7 +104,7 @@ func (p *Prefetcher) Stats() Stats { return p.stats }
 func (p *Prefetcher) Observe(block uint64) []uint64 {
 	p.seq++
 	p.stats.Trains++
-	region := block >> (p.cfg.RegionBits - 6) // block-granular region id
+	region := block >> (regionBits - 6) // block-granular region id
 
 	// Find the stream entry for this region, or victimize the LRU one.
 	idx := -1

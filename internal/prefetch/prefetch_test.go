@@ -76,7 +76,7 @@ func TestRandomAccessesStayQuiet(t *testing.T) {
 }
 
 func TestStreamTableVictimization(t *testing.T) {
-	p := New(Config{Streams: 2, Degree: 1, Distance: 1, RegionBits: 16})
+	p := New(Config{Streams: 2, Degree: 1, Distance: 1})
 	// Three interleaved regions with only two table entries: one stream
 	// keeps getting evicted, the other two still confirm eventually.
 	regionA, regionB, regionC := uint64(0), uint64(1<<20), uint64(2<<20)

@@ -41,27 +41,106 @@ const (
 	PolicyLearned   PolicyKind = "learned"
 )
 
-// AllPolicies lists every supported replacement configuration; the
-// robustness sweep and CLIs iterate it.
-var AllPolicies = []PolicyKind{
-	PolicyLRU, PolicyFIFO, PolicyRandom, PolicyLIN,
-	PolicyBCL, PolicyDCL, PolicyDIP, PolicySBAR, PolicyCBSLocal, PolicyCBSGlobal,
-	PolicyBandit, PolicyLearned,
+// policyBuilder builds the replacement policy buildL2 installs on l2.
+// threads is the number of cores sharing the L2: SBAR partitions its
+// selector per thread (Section 6's set dueling, one PSEL per core), and
+// every other policy ignores it.
+type policyBuilder func(l2 *cache.Cache, spec PolicySpec, threads int) (cache.Policy, error)
+
+// policies is the one table of L2 replacement kinds, in AllPolicies
+// order.
+var policies = []struct {
+	kind  PolicyKind
+	build policyBuilder
+}{
+	{PolicyLRU, func(*cache.Cache, PolicySpec, int) (cache.Policy, error) { return cache.NewLRU(), nil }},
+	{PolicyFIFO, func(*cache.Cache, PolicySpec, int) (cache.Policy, error) { return cache.NewFIFO(), nil }},
+	{PolicyRandom, func(_ *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		return cache.NewRandom(spec.Seed + 1), nil
+	}},
+	{PolicyLIN, func(_ *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		return core.NewLIN(spec.lambda()), nil
+	}},
+	{PolicyBCL, func(l2 *cache.Cache, _ PolicySpec, _ int) (cache.Policy, error) {
+		return core.NewBCL(4, l2.Config().Assoc/2), nil
+	}},
+	{PolicyDCL, func(l2 *cache.Cache, _ PolicySpec, _ int) (cache.Policy, error) {
+		return core.NewDCL(4, l2.Config().Assoc/2), nil
+	}},
+	{PolicyDIP, func(l2 *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		// Inside the full simulator the duel is driven by real
+		// quantized costs rather than DIP's miss counting — an
+		// "MLP-weighted DIP": expensive misses push the duel harder.
+		return core.NewDIP(l2, spec.leaderSets(), spec.Seed+3), nil
+	}},
+	{PolicySBAR, func(l2 *cache.Cache, spec PolicySpec, threads int) (cache.Policy, error) {
+		sets := l2.Config().Sets
+		var sel core.LeaderSelector
+		if spec.RandDynamic {
+			sel = core.NewRandDynamic(sets, spec.leaderSets(), spec.Seed+2)
+		} else {
+			sel = core.NewSimpleStatic(sets, spec.leaderSets())
+		}
+		return core.NewSBAR(l2, core.SBARConfig{
+			LeaderSets: spec.leaderSets(),
+			PselBits:   spec.PselBits,
+			Lambda:     spec.lambda(),
+			Selector:   sel,
+			Threads:    threads,
+		}), nil
+	}},
+	{PolicyCBSLocal, func(l2 *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		return core.NewCBS(l2, core.CBSConfig{Scope: core.CBSLocal, PselBits: spec.PselBits, Lambda: spec.lambda()}), nil
+	}},
+	{PolicyCBSGlobal, func(l2 *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		return core.NewCBS(l2, core.CBSConfig{Scope: core.CBSGlobal, PselBits: spec.PselBits, Lambda: spec.lambda()}), nil
+	}},
+	{PolicyBandit, func(l2 *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		return learn.NewBandit(l2.Config().Sets, l2.Config().Assoc, spec.Seed+5), nil
+	}},
+	{PolicyLearned, func(l2 *cache.Cache, spec PolicySpec, _ int) (cache.Policy, error) {
+		geo := l2.Config()
+		if spec.ModelPath == "" {
+			// Untrained default: every signature neutral, which the
+			// predictor resolves to exact LRU behavior.
+			model := learn.NewModel(geo.Sets, geo.Assoc, learn.DefaultTableBits, spec.Seed+7)
+			return learn.NewPredictor(model, geo.Sets, geo.Assoc)
+		}
+		model, err := learn.ReadModelFile(spec.ModelPath)
+		if err != nil {
+			return nil, err
+		}
+		return learn.NewPredictor(model, geo.Sets, geo.Assoc)
+	}},
+}
+
+// AllPolicies lists every supported replacement configuration, read off
+// the policy table; the robustness sweep and CLIs iterate it.
+var AllPolicies = func() []PolicyKind {
+	kinds := make([]PolicyKind, len(policies))
+	for i, p := range policies {
+		kinds[i] = p.kind
+	}
+	return kinds
+}()
+
+// builderOf returns the kind's constructor from the policy table ("" is
+// LRU), or nil for an unknown kind.
+func builderOf(k PolicyKind) policyBuilder {
+	if k == "" {
+		k = PolicyLRU
+	}
+	for _, p := range policies {
+		if p.kind == k {
+			return p.build
+		}
+	}
+	return nil
 }
 
 // Known reports whether the kind names a supported policy ("" selects
 // the LRU default).
-func (k PolicyKind) Known() bool {
-	if k == "" {
-		return true
-	}
-	for _, p := range AllPolicies {
-		if k == p {
-			return true
-		}
-	}
-	return false
-}
+func (k PolicyKind) Known() bool { return builderOf(k) != nil }
 
 // PolicySpec selects and parameterizes the L2 replacement policy.
 type PolicySpec struct {
@@ -284,6 +363,11 @@ func (c Config) Validate() error {
 		if err := core.ValidateLeaderGeometry(sets, spec.leaderSets()); err != nil {
 			return fmt.Errorf("sim: policy %s: %w", spec.Kind, err)
 		}
+	case PolicyBCL, PolicyDCL:
+		// The cheap-victim search reaches Assoc/2 ways up the LRU stack.
+		if c.L2.Assoc < 2 {
+			return simerr.New(simerr.ErrBadConfig, "sim: policy %s needs an L2 of at least 2 ways, got %d", spec.Kind, c.L2.Assoc)
+		}
 	}
 	return nil
 }
@@ -311,80 +395,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// buildL2 constructs the L2 cache with the configured replacement policy,
-// returning the hybrid engine when one is in use. An unknown policy kind
-// yields a wrapped simerr.ErrBadConfig. threads is the number of cores
-// sharing the cache: SBAR partitions its selector counter per thread
-// (Section 6's set dueling, one PSEL per core); 1 is the single-core
-// machine and every other policy ignores it.
+// buildL2 constructs the L2 cache under the configured replacement
+// policy, returning the policy as the run's hybrid engine when it is one
+// (SBAR, DIP, CBS). An unknown policy kind yields a wrapped
+// simerr.ErrBadConfig. threads is the number of cores sharing the cache.
 func buildL2(cfg Config, threads int) (*cache.Cache, core.Hybrid, error) {
-	l2 := cfg.Arena.getCache(cfg.L2, nil)
-	spec := cfg.Policy
-	switch spec.Kind {
-	case PolicyLRU, "":
-		l2.SetPolicy(cache.NewLRU())
-	case PolicyFIFO:
-		l2.SetPolicy(cache.NewFIFO())
-	case PolicyRandom:
-		l2.SetPolicy(cache.NewRandom(spec.Seed + 1))
-	case PolicyLIN:
-		l2.SetPolicy(core.NewLIN(spec.lambda()))
-	case PolicyBCL:
-		l2.SetPolicy(core.NewBCL(4, l2.Config().Assoc/2))
-	case PolicyDCL:
-		l2.SetPolicy(core.NewDCL(4, l2.Config().Assoc/2))
-	case PolicyDIP:
-		// Inside the full simulator the duel is driven by real
-		// quantized costs rather than DIP's miss counting — an
-		// "MLP-weighted DIP": expensive misses push the duel harder.
-		return l2, core.NewDIP(l2, spec.leaderSets(), spec.Seed+3), nil
-	case PolicySBAR:
-		sets := l2.Config().Sets
-		var sel core.LeaderSelector
-		if spec.RandDynamic {
-			sel = core.NewRandDynamic(sets, spec.leaderSets(), spec.Seed+2)
-		} else {
-			sel = core.NewSimpleStatic(sets, spec.leaderSets())
-		}
-		return l2, core.NewSBAR(l2, core.SBARConfig{
-			LeaderSets: spec.leaderSets(),
-			PselBits:   spec.PselBits,
-			Lambda:     spec.lambda(),
-			Selector:   sel,
-			Threads:    threads,
-		}), nil
-	case PolicyCBSLocal:
-		return l2, core.NewCBS(l2, core.CBSConfig{
-			Scope: core.CBSLocal, PselBits: spec.PselBits, Lambda: spec.lambda(),
-		}), nil
-	case PolicyCBSGlobal:
-		return l2, core.NewCBS(l2, core.CBSConfig{
-			Scope: core.CBSGlobal, PselBits: spec.PselBits, Lambda: spec.lambda(),
-		}), nil
-	case PolicyBandit:
-		geo := l2.Config()
-		l2.SetPolicy(learn.NewBandit(geo.Sets, geo.Assoc, spec.Seed+5))
-	case PolicyLearned:
-		geo := l2.Config()
-		var model *learn.Model
-		if spec.ModelPath != "" {
-			m, err := learn.ReadModelFile(spec.ModelPath)
-			if err != nil {
-				return nil, nil, err
-			}
-			model = m
-		} else {
-			// Untrained default: every signature neutral, which the
-			// predictor resolves to exact LRU behavior.
-			model = learn.NewModel(geo.Sets, geo.Assoc, learn.DefaultTableBits, spec.Seed+7)
-		}
-		p, err := learn.NewPredictor(model, geo.Sets, geo.Assoc)
-		if err != nil {
-			return nil, nil, err
-		}
-		l2.SetPolicy(p)
-	default:
-		return nil, nil, simerr.New(simerr.ErrBadConfig, "sim: unknown policy %q", spec.Kind)
+	build := builderOf(cfg.Policy.Kind)
+	if build == nil {
+		return nil, nil, simerr.New(simerr.ErrBadConfig, "sim: unknown policy %q", cfg.Policy.Kind)
 	}
-	return l2, nil, nil
+	l2 := cfg.Arena.getCache(cfg.L2, nil)
+	p, err := build(l2, cfg.Policy, threads)
+	if err != nil {
+		return nil, nil, err
+	}
+	l2.SetPolicy(p)
+	hybrid, _ := p.(core.Hybrid)
+	return l2, hybrid, nil
 }

@@ -335,8 +335,13 @@ func newMemSystem(cfg Config, srcs []trace.Source) (*memSystem, error) {
 		m.inj = faultinject.NewInjector(*cfg.Faults)
 	}
 	if cfg.Trace != nil {
+		// SBAR and CBS install themselves as the L2's policy and pass
+		// the tracer on to their LIN contestant; a bare LIN traces its
+		// own victims.
 		m.tr = &clockTracer{dst: cfg.Trace}
-		attachTracer(l2, hybrid, m.tr)
+		if p, ok := l2.Policy().(interface{ SetTracer(metrics.Tracer) }); ok {
+			p.SetTracer(m.tr)
+		}
 	}
 	m.ports = cfg.Arena.getPorts(cores)
 	for i, src := range srcs {
@@ -371,22 +376,6 @@ func newMemSystem(cfg Config, srcs []trace.Source) (*memSystem, error) {
 		}
 	}
 	return m, nil
-}
-
-// attachTracer hands the cycle-stamping tracer to whichever replacement
-// machinery can emit events: the hybrid engines (which propagate it to
-// their cost-aware contestant) or a bare cost-aware policy on the L2.
-func attachTracer(l2 *cache.Cache, hybrid core.Hybrid, tr metrics.Tracer) {
-	switch h := hybrid.(type) {
-	case *core.SBAR:
-		h.SetTracer(tr)
-	case *core.CBS:
-		h.SetTracer(tr)
-	default:
-		if ca, ok := l2.Policy().(*core.CostAware); ok {
-			ca.SetTracer(tr)
-		}
-	}
 }
 
 // newFill builds a pending fill with the owner's sharer bit set,
@@ -738,14 +727,14 @@ func (m *memSystem) sample(retired, intCycles uint64) {
 	}
 	ser.AvgCostQ.Add(retired, avg)
 	if m.hybrid != nil {
+		// Set 1 is a follower under the default leader geometry; a
+		// one-set L2 has only set 0.
 		v := 0.0
-		if m.hybrid.UsingLIN(1) {
+		if m.hybrid.UsingLIN(min(1, m.l2.Config().Sets-1)) {
 			v = 1.0
 		}
 		ser.UsingLIN.Add(retired, v)
-		if psel, ok := pselValueOf(m.hybrid); ok {
-			ser.PselValue.Add(retired, float64(psel))
-		}
+		ser.PselValue.Add(retired, float64(m.hybrid.PselValue()))
 	}
 	ser.MSHROccupancy.Add(retired, float64(m.mshrOccupancy()))
 	m.intMisses, m.intCostQSum = 0, 0

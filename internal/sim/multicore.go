@@ -242,7 +242,7 @@ func RunMultiContext(ctx context.Context, cfg Config, srcs ...trace.Source) (res
 		res.Cores[i] = cr
 	}
 	if m.hybrid != nil {
-		hs := statsOf(m.hybrid)
+		hs := m.hybrid.Stats()
 		res.Hybrid = &hs
 		if m.sbar != nil {
 			for t := 0; t < m.sbar.Threads(); t++ {

@@ -262,7 +262,8 @@ func TestPanicConvertsToErrInternal(t *testing.T) {
 }
 
 // Validation must reject bad configs with ErrBadConfig before anything
-// is built.
+// is built: Validate itself fails, and so does Run, without the
+// ErrInternal a panic mid-build would wrap around the ErrBadConfig.
 func TestConfigValidationRejects(t *testing.T) {
 	cases := map[string]func(*Config){
 		"zero-assoc-l2":   func(c *Config) { c.L2.Assoc = 0 },
@@ -272,15 +273,20 @@ func TestConfigValidationRejects(t *testing.T) {
 		"neg-lambda":      func(c *Config) { c.Policy.Lambda = -1 },
 		"bad-psel":        func(c *Config) { c.Policy.PselBits = 40 },
 		"bad-faults":      func(c *Config) { c.Faults = &faultinject.Plan{MSHRCapacity: -2} },
+		"one-way-bcl":     func(c *Config) { c.Policy.Kind, c.L2.Assoc = PolicyBCL, 1 },
+		"one-way-dcl":     func(c *Config) { c.Policy.Kind, c.L2.Assoc = PolicyDCL, 1 },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.MaxInstructions = 1000
 			mutate(&cfg)
+			if err := cfg.Validate(); !errors.Is(err, simerr.ErrBadConfig) {
+				t.Fatalf("Validate() = %v, want ErrBadConfig", err)
+			}
 			_, err := Run(cfg, microMix(1))
-			if !errors.Is(err, simerr.ErrBadConfig) {
-				t.Fatalf("err = %v, want ErrBadConfig", err)
+			if !errors.Is(err, simerr.ErrBadConfig) || errors.Is(err, simerr.ErrInternal) {
+				t.Fatalf("err = %v, want ErrBadConfig alone", err)
 			}
 		})
 	}

@@ -198,7 +198,7 @@ func RunContext(ctx context.Context, cfg Config, src trace.Source) (res Result, 
 		res.IPC = float64(p.retired) / float64(now)
 	}
 	if m.hybrid != nil {
-		hs := statsOf(m.hybrid)
+		hs := m.hybrid.Stats()
 		res.Hybrid = &hs
 	}
 	res.Learn = learnStatsOf(m.l2.Policy())
@@ -366,20 +366,8 @@ func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem,
 	return m, now, nil
 }
 
-func statsOf(h core.Hybrid) core.HybridStats {
-	switch v := h.(type) {
-	case *core.SBAR:
-		return v.Stats()
-	case *core.CBS:
-		return v.Stats()
-	default:
-		return core.HybridStats{}
-	}
-}
-
 // learnStatsOf extracts the learned-eviction accounting when the L2's
-// policy is one of internal/learn's (nil otherwise) — the Learn
-// analogue of statsOf.
+// policy is one of internal/learn's (nil otherwise).
 func learnStatsOf(p cache.Policy) *learn.Stats {
 	switch v := p.(type) {
 	case *learn.Bandit:
@@ -390,19 +378,6 @@ func learnStatsOf(p cache.Policy) *learn.Stats {
 		return &s
 	default:
 		return nil
-	}
-}
-
-// pselValueOf returns the hybrid's selector counter value: SBAR's single
-// PSEL, or CBS's set-0 counter (the global counter under CBSGlobal).
-func pselValueOf(h core.Hybrid) (int, bool) {
-	switch v := h.(type) {
-	case *core.SBAR:
-		return v.Psel().Value(), true
-	case *core.CBS:
-		return v.Psel(0).Value(), true
-	default:
-		return 0, false
 	}
 }
 

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mlpcache/internal/bpred"
 	"mlpcache/internal/simerr"
 	"mlpcache/internal/trace"
+	"mlpcache/internal/workload"
 )
 
 // bpredDefault is a shorthand for tests.
@@ -159,6 +161,47 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
+// TestEveryPolicyKindEarnsItsRow runs every kind in AllPolicies on
+// bzip2 at two L2 sizes and compares the Results with the policy label
+// and learned-eviction accounting left out. Two kinds that agree on both
+// rows behave as one, which spoils every comparison either appears in,
+// so they must be declared equivalent here with the reason; a declared
+// equivalence that does not hold fails too.
+func TestEveryPolicyKindEarnsItsRow(t *testing.T) {
+	equivalent := map[PolicyKind]PolicyKind{
+		// An untrained model leaves every signature neutral, which the
+		// predictor resolves to LRU (docs/LEARNED.md).
+		PolicyLearned: PolicyLRU,
+	}
+	spec, _ := workload.ByName("bzip2")
+	rows := make(map[PolicyKind][]Result)
+	for _, size := range []uint64{128 << 10, 256 << 10} {
+		for _, kind := range AllPolicies {
+			cfg := smallConfig(200_000)
+			cfg.L2.SizeBytes = size
+			cfg.Policy = PolicySpec{Kind: kind, Seed: 7}
+			res, err := Run(cfg, spec.Build(42))
+			if err != nil {
+				t.Fatalf("%s at %d KB: %v", kind, size>>10, err)
+			}
+			res.Policy, res.Learn = "", nil
+			rows[kind] = append(rows[kind], res)
+		}
+	}
+	for i, a := range AllPolicies {
+		for _, b := range AllPolicies[i+1:] {
+			same := reflect.DeepEqual(rows[a], rows[b])
+			declared := equivalent[a] == b || equivalent[b] == a
+			if same && !declared {
+				t.Errorf("%s and %s give the same results on every row, and no equivalence is declared", a, b)
+			}
+			if declared && !same {
+				t.Errorf("%s is declared equivalent to %s but their results differ", a, b)
+			}
+		}
+	}
+}
+
 func TestUnknownPolicyReturnsTypedError(t *testing.T) {
 	cfg := smallConfig(1000)
 	cfg.Policy = PolicySpec{Kind: "belady"}
@@ -168,24 +211,45 @@ func TestUnknownPolicyReturnsTypedError(t *testing.T) {
 	}
 }
 
+// TestSeriesSampling samples the Figure 11 series on the default machine
+// and on one-set L2s, where the hybrids' selector reads must stay inside
+// the only set.
 func TestSeriesSampling(t *testing.T) {
-	cfg := smallConfig(100_000)
-	cfg.SampleInterval = 10_000
-	res := MustRun(cfg, microMix(4))
-	if res.Series == nil {
-		t.Fatal("no series")
+	oneSet := func(p PolicySpec) func(*Config) {
+		return func(c *Config) { c.L2.Sets, c.Policy = 1, p }
 	}
-	n := len(res.Series.IPC.Points)
-	if n < 9 || n > 11 {
-		t.Fatalf("%d sample points, want ≈ 10", n)
-	}
-	if len(res.Series.MPKI.Points) != n || len(res.Series.AvgCostQ.Points) != n {
-		t.Fatal("series lengths disagree")
-	}
-	for _, p := range res.Series.IPC.Points {
-		if p.Value <= 0 || p.Value > 8 {
-			t.Fatalf("interval IPC %v out of range", p.Value)
-		}
+	for name, mutate := range map[string]func(*Config){
+		"default":           func(*Config) {},
+		"one-set-cbs-local": oneSet(PolicySpec{Kind: PolicyCBSLocal}),
+		"one-set-rand-sbar": oneSet(PolicySpec{Kind: PolicySBAR, RandDynamic: true, LeaderSets: 1}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig(100_000)
+			cfg.SampleInterval = 10_000
+			mutate(&cfg)
+			res, err := Run(cfg, microMix(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Series == nil {
+				t.Fatal("no series")
+			}
+			n := len(res.Series.IPC.Points)
+			if n < 9 || n > 11 {
+				t.Fatalf("%d sample points, want ≈ 10", n)
+			}
+			if len(res.Series.MPKI.Points) != n || len(res.Series.AvgCostQ.Points) != n {
+				t.Fatal("series lengths disagree")
+			}
+			if res.Hybrid != nil && (len(res.Series.UsingLIN.Points) != n || len(res.Series.PselValue.Points) != n) {
+				t.Fatal("selector series lengths disagree")
+			}
+			for _, p := range res.Series.IPC.Points {
+				if p.Value <= 0 || p.Value > 8 {
+					t.Fatalf("interval IPC %v out of range", p.Value)
+				}
+			}
+		})
 	}
 }
 
