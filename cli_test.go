@@ -198,10 +198,22 @@ func TestCLIEndToEnd(t *testing.T) {
 		mustFailCleanly(t, "mlptrace", "-stats", filepath.Join(dir, "absent.trace"))
 	})
 
-	t.Run("mlpsim-oracle-multicore-fails", func(t *testing.T) {
+	t.Run("mlpsim-oracle-multicore", func(t *testing.T) {
+		// The oracle replays the shared L2's demand stream, prefetches
+		// excluded, after the two-core run.
+		out := runTool(t, dir, "mlpsim", "-bench", "mcf,art", "-cores", "2",
+			"-oracle", "-prefetch", "-n", "20000", "-hist=false")
+		for _, want := range []string{"cores 2", "prefetch:", "oracle:", "belady", "headroom:"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("two-core oracle report lacks %q:\n%s", want, out)
+			}
+		}
+	})
+
+	t.Run("mlpsim-series-multicore-fails", func(t *testing.T) {
 		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf,art",
-			"-cores", "2", "-oracle", "-n", "1000")
-		if !strings.Contains(out, "-oracle") || !strings.Contains(out, "-cores") {
+			"-cores", "2", "-series", "-n", "1000")
+		if !strings.Contains(out, "-series") || !strings.Contains(out, "-cores") {
 			t.Fatalf("diagnostic does not name the conflicting flags:\n%s", out)
 		}
 	})

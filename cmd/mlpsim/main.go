@@ -5,7 +5,9 @@
 // comma-separated -bench mix — sharing the contended L2, and reports
 // per-core plus aggregate statistics (see docs/MULTICORE.md). A -cores 1
 // run and a plain run are the same simulation: both execute on the one
-// N-core memory system and cycle loop.
+// N-core memory system and cycle loop, so -prefetch, -oracle and
+// -snapshot-interval work at every core count; only -trace replay and
+// -series stay single-core.
 //
 // Reports go to stdout; telemetry goes to files: -json swaps the text
 // report for a machine-readable one (schema "mlpcache.run/v1"), -metrics
@@ -25,6 +27,7 @@
 //	mlpsim -bench mcf -trace-events ev.bin -trace-events-format v2 -snapshot-interval 250000
 //	mlpsim -bench mcf,art -cores 2 -policy sbar -n 2000000
 //	mlpsim -bench mcf,art,parser,equake -cores 4 -audit -n 2000000
+//	mlpsim -bench mcf,art -cores 2 -prefetch -oracle -n 2000000
 //	mlpsim -bench mcf -policy lru -oracle
 //	mlpsim -bench mcf -policy bandit
 //	mlpsim -bench mcf -policy learned -model mcf.model
@@ -121,14 +124,8 @@ func main() {
 			fatal(2, "-cores must be at most %d", sim.MaxCores)
 		case *traceFile != "":
 			fatal(2, "-cores does not support -trace replay")
-		case *oracleFlag:
-			fatal(2, "-cores does not support -oracle")
 		case *series:
 			fatal(2, "-cores does not support -series")
-		case *pf:
-			fatal(2, "-cores does not support -prefetch")
-		case *snapEvery > 0:
-			fatal(2, "-cores does not support -snapshot-interval")
 		}
 		names := strings.Split(*bench, ",")
 		var labels []string
@@ -236,8 +233,8 @@ func main() {
 	}
 	// Either run yields one registry that serves the -metrics file and
 	// the -json report, a header naming the run, and its text report.
-	// The single-core oracle comparison injects its families into the
-	// same registry.
+	// The oracle comparison, over the shared L2's stream on several
+	// cores, injects its families into the same registry.
 	var (
 		reg    *metrics.Registry
 		header metrics.RunHeader
@@ -256,20 +253,19 @@ func main() {
 			fatal(1, "%v", err)
 		}
 		reg, header = res.Metrics(), res.Header(*bench, *seed)
-		var cmp oracle.Comparison
-		if capture != nil {
-			sets, err := cfg.L2.SetCount()
-			if err != nil {
-				fatal(1, "%v", err)
-			}
-			cmp = oracle.Compare(capture.Log(), sets, cfg.L2.Assoc)
-			cmp.Observe(reg)
+		report = func() { printReport(res, benchLabel, *hist) }
+	}
+	if capture != nil {
+		sets, err := cfg.L2.SetCount()
+		if err != nil {
+			fatal(1, "%v", err)
 		}
+		cmp := oracle.Compare(capture.Log(), sets, cfg.L2.Assoc)
+		cmp.Observe(reg)
+		run := report
 		report = func() {
-			printReport(res, benchLabel, *hist)
-			if capture != nil {
-				printOracle(cmp)
-			}
+			run()
+			printOracle(cmp)
 		}
 	}
 
@@ -356,6 +352,15 @@ func printLearn(s *learn.Stats) {
 	}
 }
 
+// printPrefetch renders the prefetch accounting, summed over the cores,
+// when the prefetchers issued anything.
+func printPrefetch(m sim.MemStats) {
+	if m.PrefetchIssued > 0 {
+		fmt.Printf("prefetch: %d issued, %d useful, %d late, %d unused, %d dropped\n",
+			m.PrefetchIssued, m.PrefetchUseful, m.PrefetchLate, m.PrefetchUnused, m.PrefetchDropped)
+	}
+}
+
 // printOracle renders the offline oracle comparison to stdout.
 func printOracle(cmp oracle.Comparison) {
 	fmt.Printf("oracle: %d captured accesses replayed at %dx%d\n",
@@ -383,6 +388,7 @@ func printMultiReport(res sim.MultiResult, benchLabel string, hist bool) {
 		res.MPKI(), res.AvgMLPCost(), res.AvgCostQ())
 	fmt.Printf("DRAM: %d reads, %d writes; bank wait %d, bus wait %d cycles\n",
 		res.DRAM.Reads, res.DRAM.Writes, res.DRAM.BankWaitCycles, res.DRAM.BusWaitCycles)
+	printPrefetch(res.Mem)
 	fmt.Printf("%-6s %12s %8s %10s %10s %8s %10s %10s\n",
 		"core", "instr", "IPC", "misses", "merged", "MPKI", "mlp-cost", "stalls")
 	for i, c := range res.Cores {
@@ -420,11 +426,7 @@ func printReport(res sim.Result, benchLabel string, hist bool) {
 			res.Bpred.Lookups, res.Bpred.Mispredicts, 100*res.Bpred.MispredictRate(),
 			100*float64(res.Bpred.GshareUsed)/float64(res.Bpred.Lookups))
 	}
-	if res.Mem.PrefetchIssued > 0 {
-		fmt.Printf("prefetch: %d issued, %d useful, %d late, %d unused, %d dropped\n",
-			res.Mem.PrefetchIssued, res.Mem.PrefetchUseful, res.Mem.PrefetchLate,
-			res.Mem.PrefetchUnused, res.Mem.PrefetchDropped)
-	}
+	printPrefetch(res.Mem)
 	printTail(res.Hybrid, nil, res.Learn, hist, res.CostHist, res.Audit)
 	if res.Series != nil {
 		fmt.Println("time series (instructions, IPC, MPKI, avg cost_q):")

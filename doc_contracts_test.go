@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"mlpcache/internal/experiments"
-	"mlpcache/internal/faultinject"
 	"mlpcache/internal/metrics"
 	"mlpcache/internal/oracle"
 	"mlpcache/internal/prefetch"
@@ -269,17 +268,11 @@ func contentionTables(t testing.TB) (mixes, policies []string) {
 	return mixes, policies
 }
 
-// rejectedFeatures maps each single-core-only feature to a mutation
-// enabling it; RunMulti must refuse each with ErrBadConfig.
+// rejectedFeatures maps each feature RunMulti refuses to a mutation
+// enabling it; RunMulti must refuse each with ErrBadConfig, even on one
+// core.
 var rejectedFeatures = map[string]func(*sim.Config){
-	"Prefetch": func(cfg *sim.Config) {
-		pcfg := prefetch.DefaultConfig()
-		cfg.Prefetch = &pcfg
-	},
-	"Capture":          func(cfg *sim.Config) { cfg.Capture = oracle.NewCapture() },
-	"Faults":           func(cfg *sim.Config) { cfg.Faults = &faultinject.Plan{} },
-	"SampleInterval":   func(cfg *sim.Config) { cfg.SampleInterval = 10_000 },
-	"SnapshotInterval": func(cfg *sim.Config) { cfg.SnapshotInterval = 10_000 },
+	"SampleInterval": func(cfg *sim.Config) { cfg.SampleInterval = 10_000 },
 }
 
 // TestDocContracts compares each contract table in docs/ with what the

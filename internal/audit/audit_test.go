@@ -142,17 +142,3 @@ func TestCostQBoundCatchesOversizedCost(t *testing.T) {
 		t.Fatal("oversized cost_q not reported")
 	}
 }
-
-func TestPselBound(t *testing.T) {
-	v := 3
-	a := New(1, PselBound("psel", func() (int, int) { return v, 63 }))
-	a.CheckNow(1)
-	if !a.Report().Ok() {
-		t.Fatalf("in-range psel flagged: %v", a.Report().Err())
-	}
-	v = 64
-	a.CheckNow(2)
-	if a.Report().Ok() {
-		t.Fatal("out-of-range psel not reported")
-	}
-}

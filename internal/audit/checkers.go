@@ -82,15 +82,3 @@ func CostQBound(name string, c *cache.Cache, max uint8) Checker {
 		}
 	})
 }
-
-// PselBound returns a checker verifying a saturating selector counter
-// stays inside its bit width. value returns the counter's current value
-// and maximum.
-func PselBound(name string, value func() (v, max int)) Checker {
-	return Func(name, func(_ uint64, report func(string)) {
-		v, max := value()
-		if v < 0 || v > max {
-			report(fmt.Sprintf("psel value %d outside [0,%d]", v, max))
-		}
-	})
-}

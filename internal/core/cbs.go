@@ -223,8 +223,9 @@ func (c *CBS) Stats() HybridStats { return c.stats }
 // Psel exposes the selector counter for the given set.
 func (c *CBS) Psel(set int) *PSEL { return c.pselFor(set) }
 
-// PselValue implements Hybrid: set 0's counter value.
-func (c *CBS) PselValue() int { return c.psel[0].Value() }
+// PselValue implements Hybrid: the set's counter value (the one global
+// counter under the global scope).
+func (c *CBS) PselValue(set int) int { return c.pselFor(set).Value() }
 
 // AuditInvariants cross-checks CBS's bookkeeping and returns a
 // description of every violated invariant (empty when consistent): every

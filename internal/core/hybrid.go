@@ -33,10 +33,10 @@ type Hybrid interface {
 	UsingLIN(set int) bool
 	// Stats returns the selection counters.
 	Stats() HybridStats
-	// PselValue reads the selector counter the Figure 11 series samples:
-	// SBAR's thread-0 PSEL, or CBS's set-0 counter (the only one under
-	// the global scope).
-	PselValue() int
+	// PselValue reads the selector counter a follower set consults, for
+	// the Figure 11 series: SBAR's thread-0 PSEL whatever the set, or
+	// CBS's counter for the set (the only one under the global scope).
+	PselValue(set int) int
 }
 
 // HybridStats counts a hybrid's selection activity.

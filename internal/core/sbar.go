@@ -306,8 +306,9 @@ func (s *SBAR) Psel() *PSEL { return s.psels[0] }
 // PselFor exposes one thread's selector counter (multi-core telemetry).
 func (s *SBAR) PselFor(tid int) *PSEL { return s.psels[tid] }
 
-// PselValue implements Hybrid: thread 0's counter value.
-func (s *SBAR) PselValue() int { return s.psels[0].Value() }
+// PselValue implements Hybrid: thread 0's counter value, which every
+// follower set shares.
+func (s *SBAR) PselValue(int) int { return s.psels[0].Value() }
 
 // Threads returns the number of per-thread selector counters.
 func (s *SBAR) Threads() int { return len(s.psels) }

@@ -280,6 +280,33 @@ func TestSBARRobustnessProperty(t *testing.T) {
 	}
 }
 
+// TestAuditInvariantsNameOutOfRangePsel pushes one SBAR thread's
+// selector and one CBS-local set's selector past their bit widths: each
+// engine's AuditInvariants must report exactly that counter, by thread
+// or by set.
+func TestAuditInvariantsNameOutOfRangePsel(t *testing.T) {
+	sbar := newSBARHarness(t, SBARConfig{LeaderSets: 4, Threads: 3}, 64, 4).sbar
+	cbs := newCBSHarness(t, CBSConfig{Scope: CBSLocal}, 64, 4).cbs
+	for _, c := range []struct {
+		name  string
+		psel  *PSEL
+		value int
+		audit func() []string
+		want  string
+	}{
+		{"sbar", sbar.PselFor(2), 64, sbar.AuditInvariants, "thread 2 psel value 64 outside [0,63]"},
+		{"cbs-local", cbs.Psel(5), -1, cbs.AuditInvariants, "psel[5] value -1 outside [0,63]"},
+	} {
+		if got := c.audit(); len(got) != 0 {
+			t.Fatalf("%s: fresh engine reports %q", c.name, got)
+		}
+		c.psel.value = c.value
+		if got := c.audit(); len(got) != 1 || got[0] != c.want {
+			t.Errorf("%s: AuditInvariants = %q, want [%q]", c.name, got, c.want)
+		}
+	}
+}
+
 // quickCheck adapts testing/quick with a bounded count.
 func quickCheck(f any, count int) error {
 	return quick.Check(f, &quick.Config{MaxCount: count})

@@ -169,8 +169,7 @@ func TestSensitivityAndStabilitySmoke(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	// With every telemetry channel on: the sweeps and the multi-core
-	// study run through the runner, snapshots included where sim
-	// supports them.
+	// study run through the runner, snapshots included on every run.
 	r := NewRunner(150_000, 7)
 	var starts, snapshots int
 	r.Trace = metrics.FuncTracer(func(ev metrics.Event) {

@@ -80,10 +80,11 @@ type Runner struct {
 	// nothing — their events were already streamed.
 	Trace metrics.Tracer
 	// SnapshotInterval, when non-zero and Trace is set, makes every
-	// fresh single-core simulation emit the snapshot.* gauge family
-	// through the tracer every that many retired instructions (the mlpexp
-	// -snapshot-interval flag; see sim.Config.SnapshotInterval). It
-	// does not alter results, so memoization keys ignore it.
+	// fresh simulation, single- or multi-core, emit the snapshot.* gauge
+	// family through the tracer every that many retired instructions
+	// (the mlpexp -snapshot-interval flag; see
+	// sim.Config.SnapshotInterval). It does not alter results, so
+	// memoization keys ignore it.
 	SnapshotInterval uint64
 	// OnResult, when non-nil, observes every fresh (non-memoized)
 	// simulation, single- or multi-core: its metrics header, whose Bench
@@ -412,11 +413,7 @@ func (r *Runner) simulate(d runSpec, capture, silent bool) (runEntry, error) {
 	buffered := tracer != nil && r.workers() > 1
 	var events []metrics.Event
 	if tracer != nil {
-		if len(srcs) == 1 {
-			// Snapshots have no N-core meaning yet; sim refuses them
-			// on a mix (docs/MULTICORE.md).
-			cfg.SnapshotInterval = r.SnapshotInterval
-		}
+		cfg.SnapshotInterval = r.SnapshotInterval
 		if buffered {
 			// Buffer events so concurrent runs' streams don't
 			// interleave; they are replayed contiguously behind

@@ -5,18 +5,17 @@ import (
 	"math/bits"
 
 	"mlpcache/internal/audit"
-	"mlpcache/internal/core"
 )
 
 // buildAuditor assembles the invariant checkers for one audited run:
 // structural checks on the shared L2 (recency-stack permutation,
 // quantized-cost bounds), every core's L1 recency and MSHR bookkeeping,
 // agreement between the MSHR files and the in-flight fill table, and —
-// when a hybrid policy is racing — the selector and sampling-directory
-// checks of the engine in use (SBAR/DIP share *core.SBAR, with every
-// per-thread selector bounded when the PSEL is partitioned; CBS has its
-// own). Per-core and per-thread checkers carry their index only when
-// there is more than one.
+// when a hybrid policy is racing — the engine's own AuditInvariants,
+// named after the policy kind: every selector counter's bounds (each
+// thread's under SBAR and DIP, each set's under CBS-local) and the
+// sampling directories. Per-core checkers carry the core index only
+// when there is more than one.
 func (m *memSystem) buildAuditor() *audit.Auditor {
 	a := audit.New(m.cfg.AuditEvery,
 		audit.RecencyPermutation("l2-recency", m.l2),
@@ -45,30 +44,21 @@ func (m *memSystem) buildAuditor() *audit.Auditor {
 			}
 		}),
 	)
-	indexed := func(name, sep string, i, n int) string {
-		if n == 1 {
+	indexed := func(name string, i int) string {
+		if len(m.ports) == 1 {
 			return name
 		}
-		return fmt.Sprintf("%s-%s%d", name, sep, i)
+		return fmt.Sprintf("%s-core%d", name, i)
 	}
 	for i := range m.ports {
 		p := &m.ports[i]
 		a.Register(
-			audit.RecencyPermutation(indexed("l1-recency", "core", i, len(m.ports)), p.l1),
-			audit.Strings(indexed("mshr", "core", i, len(m.ports)), p.mshr.AuditInvariants),
+			audit.RecencyPermutation(indexed("l1-recency", i), p.l1),
+			audit.Strings(indexed("mshr", i), p.mshr.AuditInvariants),
 		)
 	}
-	switch h := m.hybrid.(type) {
-	case *core.SBAR:
-		a.Register(audit.Strings("sbar", h.AuditInvariants))
-		for t := 0; t < h.Threads(); t++ {
-			a.Register(audit.PselBound(indexed("sbar-psel", "t", t, h.Threads()), func() (int, int) {
-				p := h.PselFor(t)
-				return p.Value(), p.Max()
-			}))
-		}
-	case *core.CBS:
-		a.Register(audit.Strings("cbs", h.AuditInvariants))
+	if h, ok := m.hybrid.(interface{ AuditInvariants() []string }); ok {
+		a.Register(audit.Strings(string(m.cfg.Policy.Kind), h.AuditInvariants))
 	}
 	return a
 }

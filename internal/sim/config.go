@@ -258,7 +258,8 @@ type Config struct {
 	// retired instructions: interval IPC, MPKI and mean cost_q, the
 	// MSHR occupancy at the boundary, and the cumulative Figure 2
 	// cost-histogram bins — time-resolved curves in the event stream
-	// instead of end-of-run aggregates (docs/OBSERVABILITY.md). Its
+	// instead of end-of-run aggregates (docs/OBSERVABILITY.md). On
+	// several cores every gauge is chip-wide and carries tid 0. Its
 	// accounting is independent of SampleInterval; with a nil Trace it
 	// is a no-op.
 	SnapshotInterval uint64
@@ -267,8 +268,10 @@ type Config struct {
 	EpochInstructions uint64
 	// Capture, when non-nil, receives every L2 demand access (hit,
 	// primary miss, merge) with its quantized mlp-cost — the stream
-	// internal/oracle replays offline under Belady-style policies. A nil
-	// observer costs one predictable branch per L2 access.
+	// internal/oracle replays offline under Belady-style policies. On
+	// several cores it is the shared L2's stream, every core's accesses
+	// in the order the L2 sees them, untagged. A nil observer costs one
+	// predictable branch per L2 access.
 	Capture AccessObserver
 	// Trace, when non-nil, receives the event stream documented in
 	// docs/OBSERVABILITY.md: miss issue/merge/fill with accrued
@@ -284,11 +287,12 @@ type Config struct {
 	// four cores), so this exists only for those tests and for
 	// debugging.
 	DisableFastForward bool
-	// Prefetch enables an L2 stride prefetcher (nil: off, the paper's
-	// baseline). Prefetch requests occupy MSHR entries as non-demand
-	// misses: Algorithm 1 charges them no cost unless a demand access
-	// merges into them, at which point the cost clock starts — the
-	// paper's definition of a demand miss, kept intact.
+	// Prefetch enables an L2 stride prefetcher per core (nil: off, the
+	// paper's baseline), trained on that core's demand stream. Prefetch
+	// requests occupy the core's MSHR entries as non-demand misses:
+	// Algorithm 1 charges them no cost unless a demand access merges
+	// into them, at which point the cost clock of the merging core
+	// starts — the paper's definition of a demand miss, kept intact.
 	Prefetch *prefetch.Config
 	// Audit enables the invariant auditor: a full checker pass over the
 	// cache recency stacks, MSHR bookkeeping, quantized costs and

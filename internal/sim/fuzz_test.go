@@ -199,6 +199,12 @@ func FuzzConfig(f *testing.F) {
 	f.Add([]byte{fzBench, 1, fzKind, fuzzKind(PolicySBAR), fzRandDynamic, 1, fzEpoch, 5, fzAudit, 1, fzPrefetchStreams, 16, fzFaultJitter, 9, fzFaultCapacity, 3})
 	f.Add([]byte{fzCores, 1, fzKind, fuzzKind(PolicyCBSGlobal), fzL2Size, 16, fzMSHREntries, 2, fzAudit, 1})
 	f.Add([]byte{fzKind, fuzzKind(PolicyLearned), fzL1Sets, 3, fzL2Sets, 6, fzL2Assoc, 3, fzDRAMBanks, 1, fzROB, 4, fzFetchWidth, 1})
+	// A prefetcher per core and a fault plan on two cores sharing a
+	// 128 KB L2, audited: the throttle resizes both MSHR files mid-run,
+	// and prefetches target blocks the other core has in flight, which
+	// fail both runs with ErrMSHRLeak unless skipped.
+	f.Add([]byte{fzCores, 1, fzBench, 1, fzL2Size, 16, fzPrefetchStreams, 16, fzPrefetchDegree, 7, fzPrefetchDistance, 2, fzFaultJitter, 9, fzFaultCapacity, 3, fzFaultAfter, 50, fzAudit, 1})
+	f.Add([]byte{fzCores, 1, fzBench, 5, fzKind, fuzzKind(PolicySBAR), fzL2Size, 16, fzPrefetchDegree, 5, fzPrefetchDistance, 13, fzFaultJitter, 40, fzFaultCapacity, 2, fzFaultAfter, 100, fzAudit, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, cores, bench := decodeFuzzConfig(data)

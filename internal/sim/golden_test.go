@@ -282,12 +282,13 @@ func (r *accessRecorder) OnMissCost(block uint64, costQ uint8) {
 	r.log = append(r.log, capturedAccess{Block: block, CostQ: costQ, Cost: true})
 }
 
-// featureCases pins each optional single-core feature of the memory
-// system and run loop: prefetching, fault injection, access capture,
-// the Figure 11 series, snapshot emission through the v2 tracer, an
-// audited rand-dynamic SBAR run with epochs and the time-shared MSHR
-// adders. Cases whose feature has a side output
-// digest it next to the Result.
+// featureCases pins each optional feature of the memory system and run
+// loop: prefetching, fault injection, access capture, the Figure 11
+// series, snapshot emission through the v2 tracer, an audited
+// rand-dynamic SBAR run with epochs and the time-shared MSHR adders on
+// one core, and prefetching, faults, capture and snapshots again on two
+// cores. Cases whose feature has a side output digest it next to the
+// result.
 func featureCases() []goldenCase {
 	build := func(name string) trace.Source {
 		spec, _ := workload.ByName(name)
@@ -362,6 +363,50 @@ func featureCases() []goldenCase {
 			cfg := base(lin, 100_000)
 			cfg.MSHR.Adders = 2
 			return Run(cfg, build("mcf"))
+		}},
+		{"feature/twolf+twolf/prefetch", func() (any, error) {
+			cfg := base(lin, 100_000)
+			cfg.L2.SizeBytes = 128 * 1024
+			p := prefetch.DefaultConfig()
+			cfg.Prefetch = &p
+			res, err := RunMulti(cfg, sources("twolf", "twolf")...)
+			if err == nil && (res.Mem.PrefetchLate == 0 || res.Mem.PrefetchUnused == 0 || res.CrossCoreMerges == 0) {
+				err = fmt.Errorf("prefetchers or sharing idle: %+v, %d cross-core merges", res.Mem, res.CrossCoreMerges)
+			}
+			return res, err
+		}},
+		{"feature/mcf+art/faults", func() (any, error) {
+			cfg := base(sbar, 100_000)
+			cfg.Faults = &faultinject.Plan{Seed: 3, DRAMJitterMax: 97, MSHRCapacity: 2, MSHRThrottleAfter: 20_000}
+			return RunMulti(cfg, sources("mcf", "art")...)
+		}},
+		{"feature/parser+mcf/capture", func() (any, error) {
+			cfg := base(lin, 100_000)
+			rec := &accessRecorder{}
+			cfg.Capture = rec
+			res, err := RunMulti(cfg, sources("parser", "mcf")...)
+			return struct {
+				Res MultiResult
+				Log []capturedAccess
+			}{res, rec.log}, err
+		}},
+		{"feature/art+mcf/snapshot", func() (any, error) {
+			cfg := base(lin, 100_000)
+			var buf bytes.Buffer
+			tr := metrics.NewBinaryTracer(&buf, metrics.RunHeader{Bench: "art+mcf", Policy: lin.String(), Seed: 42})
+			cfg.Trace = tr
+			cfg.SnapshotInterval = 10_000
+			res, err := RunMulti(cfg, sources("art", "mcf")...)
+			if err == nil {
+				err = tr.Flush()
+			}
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			return struct {
+				Res    MultiResult
+				Len    int
+				Digest uint64
+			}{res, buf.Len(), h.Sum64()}, err
 		}},
 	}
 }

@@ -207,17 +207,19 @@ func (h *fillHeap) Pop() *fill {
 	return out
 }
 
-// corePort is one core of the machine: its CPU model, and its private L1
-// and MSHR file in front of the shared L2. It implements cpu.MemSystem
-// for that core. Keeping the MSHR per core keeps Algorithm 1's cost
-// clock per thread: each cycle divides among that core's own outstanding
-// demand misses, so mlp-cost measures the issuing thread's overlap, not
-// the whole chip's.
+// corePort is one core of the machine: its CPU model, and its private L1,
+// MSHR file and optional prefetcher in front of the shared L2. It
+// implements cpu.MemSystem for that core. Keeping the MSHR per core
+// keeps Algorithm 1's cost clock per thread: each cycle divides among
+// that core's own outstanding demand misses, so mlp-cost measures the
+// issuing thread's overlap, not the whole chip's. The prefetcher trains
+// on this core's L2 demand stream and issues into this core's MSHR.
 type corePort struct {
 	m    *memSystem
 	tid  int
 	l1   *cache.Cache
 	mshr *mshr.MSHR
+	pf   *prefetch.Prefetcher // nil: prefetching off
 
 	cpu     *cpu.CPU
 	src     trace.Source // the caller's source, checked for a deferred decode error
@@ -244,11 +246,11 @@ func (p *corePort) credit(through uint64) {
 }
 
 // memSystem is the machine every run executes on: one port per core,
-// each with a private L1 and MSHR file, in front of one shared L2, one
-// shared DRAM and one replacement engine. A single-core run is the
-// one-port case. It also owns the run loop's optional instruments —
-// prefetcher, access capture, fault injection, tracer, auditor and the
-// Figure 11 series — so sim.Run and sim.RunMulti differ only in how
+// each with a private L1, MSHR file and prefetcher, in front of one
+// shared L2, one shared DRAM and one replacement engine. A single-core
+// run is the one-port case. It also owns the run loop's optional
+// instruments — access capture, fault injection, tracer, auditor and
+// the Figure 11 series — so sim.Run and sim.RunMulti differ only in how
 // they assemble their results.
 type memSystem struct {
 	cfg    Config
@@ -283,8 +285,6 @@ type memSystem struct {
 	// crossMerges counts demand misses that joined another core's
 	// in-flight miss (exported as multicore.cross_core_merges).
 	crossMerges uint64
-
-	pf *prefetch.Prefetcher
 
 	// inj, when non-nil, perturbs DRAM latencies (fault injection). A
 	// nil injector is inert, so the hot path needs no flag check.
@@ -328,9 +328,6 @@ func newMemSystem(cfg Config, srcs []trace.Source) (*memSystem, error) {
 	if s, ok := hybrid.(*core.SBAR); ok && s.Threads() > 1 {
 		m.sbar = s
 	}
-	if cfg.Prefetch != nil {
-		m.pf = prefetch.New(*cfg.Prefetch)
-	}
 	if cfg.Faults != nil && cfg.Faults.Active() {
 		m.inj = faultinject.NewInjector(*cfg.Faults)
 	}
@@ -356,6 +353,9 @@ func newMemSystem(cfg Config, srcs []trace.Source) (*memSystem, error) {
 		}
 		if cores > 1 {
 			p.costHist = stats.NewHistogram(60, 8)
+		}
+		if cfg.Prefetch != nil {
+			p.pf = prefetch.New(*cfg.Prefetch)
 		}
 		if cfg.MaxInstructions > 0 {
 			src = trace.NewLimit(src, int(cfg.MaxInstructions))
@@ -411,17 +411,18 @@ func (m *memSystem) dramRead(block uint64, at uint64) uint64 {
 	return m.dram.Read(block, at) + m.inj.Jitter()
 }
 
-// trainPrefetcher observes a demand L2 access and issues any predicted
-// prefetches: non-demand MSHR allocations that Algorithm 1 does not
-// charge.
+// trainPrefetcher observes one of this core's demand L2 accesses and
+// issues any predicted prefetches: non-demand allocations in this core's
+// MSHR that Algorithm 1 does not charge. A target any core already has
+// in flight is skipped, so each block keeps one fill.
 func (p *corePort) trainPrefetcher(block uint64, now uint64) {
-	m := p.m
-	if m.pf == nil {
+	if p.pf == nil {
 		return
 	}
-	for _, target := range m.pf.Observe(block) {
+	m := p.m
+	for _, target := range p.pf.Observe(block) {
 		addr := target * m.l2.Config().BlockBytes
-		if m.l2.Contains(addr) || p.mshr.Pending(target) {
+		if _, inflight := m.inflight.Get(target); inflight || m.l2.Contains(addr) {
 			continue
 		}
 		if p.mshr.Full() {
@@ -463,7 +464,7 @@ func (p *corePort) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 			costQ, _ := m.l2.CostOf(addr)
 			m.capture.OnL2Access(block, AccessHit, costQ)
 		}
-		if m.pf != nil {
+		if p.pf != nil {
 			if info, ok := m.tracked.Get(block); ok && info.prefetched {
 				info.prefetched = false
 				m.tracked.Put(block, info)
@@ -499,11 +500,14 @@ func (p *corePort) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 		}
 		if f.prefetch {
 			// A late prefetch: the demand access still waits, but
-			// the cost clock only starts now (demand upgrade).
+			// the cost clock only starts now (demand upgrade). The
+			// upgrading core owns the miss from here: its demand
+			// entry prices it at service, not the prefetch's.
 			if m.capture != nil {
 				m.capture.OnL2Access(block, AccessMiss, 0)
 			}
 			f.prefetch = false
+			f.owner = uint8(p.tid)
 			p.mstats.PrefetchLate++
 			p.mstats.DemandMisses++
 			p.noteSeen(block)
@@ -677,7 +681,7 @@ func (m *memSystem) service(f *fill, now uint64) error {
 
 	ev, evicted := m.l2.Fill(f.addr, costQ, false)
 	if evicted {
-		if m.pf != nil {
+		if p.pf != nil {
 			p.notePrefetchEvicted(ev.Block)
 		}
 		if ev.Dirty {
@@ -727,14 +731,15 @@ func (m *memSystem) sample(retired, intCycles uint64) {
 	}
 	ser.AvgCostQ.Add(retired, avg)
 	if m.hybrid != nil {
-		// Set 1 is a follower under the default leader geometry; a
-		// one-set L2 has only set 0.
+		// Both series read one set: set 1, a follower under the
+		// default leader geometry, or set 0 of a one-set L2.
+		set := min(1, m.l2.Config().Sets-1)
 		v := 0.0
-		if m.hybrid.UsingLIN(min(1, m.l2.Config().Sets-1)) {
+		if m.hybrid.UsingLIN(set) {
 			v = 1.0
 		}
 		ser.UsingLIN.Add(retired, v)
-		ser.PselValue.Add(retired, float64(m.hybrid.PselValue()))
+		ser.PselValue.Add(retired, float64(m.hybrid.PselValue(set)))
 	}
 	ser.MSHROccupancy.Add(retired, float64(m.mshrOccupancy()))
 	m.intMisses, m.intCostQSum = 0, 0
@@ -755,9 +760,12 @@ type snapState struct {
 // interval IPC, MPKI and mean quantized cost since the previous
 // boundary, the instantaneous MSHR occupancy, and the cumulative
 // Figure 2 cost-histogram bins (one event per bin, Value = bin index).
-// Only called with a tracer attached, at snapshot-interval rate — the
+// Every gauge is chip-wide — totals over all cores — so each carries
+// tid 0, not the thread of whichever core last touched memory. Only
+// called with a tracer attached, at snapshot-interval rate — the
 // histogram copy it takes is nowhere near the per-miss hot path.
 func (m *memSystem) emitSnapshot(now, retired uint64, s *snapState) {
+	m.tr.tid = 0
 	tot := m.memStats()
 	dInstr := retired - s.retired
 	dCyc := now - s.cycle

@@ -105,3 +105,65 @@ func TestIsolatedMissCostsTheDRAMLatency(t *testing.T) {
 		}
 	}
 }
+
+// TestKParallelChasesCostLatencyOverK runs k interleaved pointer chases
+// per core on 1, 2 and 4 cores, each core on its own address range. A
+// lone chase (k=1) never overlaps its own misses, so Algorithm 1
+// charges each the full memory latency (the 420+ bin); k=2 chases keep
+// two misses outstanding, so each costs about half (the 180-239 bin,
+// the paper's mcf peak). The cost clock is per thread: other cores'
+// misses queue at the shared DRAM, which raises a miss's latency, but
+// never share the issuing core's MSHR, so they never discount its cost
+// and no core's mean cost falls below the one-core mean.
+func TestKParallelChasesCostLatencyOverK(t *testing.T) {
+	chases := func(k, core int) trace.Source {
+		parts := make([]trace.MixPart, k)
+		for i := range parts {
+			n := uint64(core*k + i)
+			parts[i] = trace.MixPart{
+				Src:    trace.NewPointerChase(trace.ChaseConfig{Base: n << 33, Blocks: 20_000, Gap: 8, Seed: n + 1}),
+				Weight: 1, Chunk: 1,
+			}
+		}
+		return trace.NewMix(9, parts...)
+	}
+	for _, k := range []int{1, 2} {
+		var oneCore float64
+		for _, cores := range []int{1, 2, 4} {
+			srcs := make([]trace.Source, cores)
+			for c := range srcs {
+				srcs[c] = chases(k, c)
+			}
+			res, err := RunMulti(smallConfig(150_000), srcs...)
+			if err != nil {
+				t.Fatalf("k=%d on %d cores: %v", k, cores, err)
+			}
+			if cores == 1 {
+				oneCore = res.Cores[0].AvgMLPCost()
+			}
+			for i, c := range res.Cores {
+				bins, pct := c.CostHist.Bins(), c.CostHist.Percent()
+				top := 0
+				for b := range bins {
+					if bins[b] > bins[top] {
+						top = b
+					}
+				}
+				switch {
+				case c.Mem.DemandMisses == 0:
+					t.Fatalf("k=%d, %d cores: core %d serviced no misses", k, cores, i)
+				case k == 1 && bins[7] != c.CostHist.Total():
+					t.Errorf("lone chase, %d cores: core %d has %.1f%% of its misses outside the 420+ bin (hist %v)", cores, i, 100-pct[7], pct)
+				case k == 2 && top != 3:
+					t.Errorf("k=2 chase, %d cores: core %d's most populated bin is %s, not 180-239 (hist %v)", cores, i, c.CostHist.BinLabel(top), pct)
+				case k == 2 && cores == 1 && pct[3] < 50:
+					t.Errorf("k=2 chase: only %.1f%% of misses in the 180-239 bin (hist %v)", pct[3], pct)
+				}
+				if cost := c.AvgMLPCost(); cost < oneCore {
+					t.Errorf("k=%d, %d cores: core %d's mean cost %.1f is below the one-core mean %.1f", k, cores, i, cost, oneCore)
+				}
+				t.Logf("k=%d, %d cores: core %d mean cost %.1f, hist %v", k, cores, i, c.AvgMLPCost(), pct)
+			}
+		}
+	}
+}

@@ -43,13 +43,6 @@ func (r Result) Metrics() *metrics.Registry {
 	reg.Counter("cache.l1.writeback_drop", "evictions", "dirty L1 evictions whose block was absent from L2").Add(r.Mem.L1WritebackDrops)
 	r.MSHR.Observe(reg)
 
-	// Prefetcher (all zero when disabled).
-	reg.Counter("prefetch.issued", "requests", "prefetches issued").Add(r.Mem.PrefetchIssued)
-	reg.Counter("prefetch.dropped", "requests", "prefetches dropped for lack of an MSHR entry").Add(r.Mem.PrefetchDropped)
-	reg.Counter("prefetch.useful", "fills", "prefetched blocks later hit by demand").Add(r.Mem.PrefetchUseful)
-	reg.Counter("prefetch.unused", "fills", "prefetched blocks evicted untouched").Add(r.Mem.PrefetchUnused)
-	reg.Counter("prefetch.late", "requests", "in-flight prefetches a demand access merged into").Add(r.Mem.PrefetchLate)
-
 	// Interval time series (SampleInterval runs only).
 	if r.Series != nil {
 		s := r.Series
@@ -111,8 +104,9 @@ func (c chip) header(bench string, seed uint64) metrics.RunHeader {
 }
 
 // observe registers the chip-wide families: run totals, the L2 and
-// memory-side aggregates, cost and delta accounting, DRAM, and the
-// hybrid, learned and audit families when the run produced them.
+// memory-side aggregates, cost and delta accounting, DRAM, the
+// prefetch counters, and the hybrid, learned and audit families when
+// the run produced them.
 func (c chip) observe(reg *metrics.Registry) {
 	// Run totals.
 	reg.Counter("run.instructions", "instructions", "instructions retired").Add(c.instructions)
@@ -143,6 +137,13 @@ func (c chip) observe(reg *metrics.Registry) {
 	reg.Counter("dram.writes", "requests", "DRAM write requests").Add(c.dram.Writes)
 	reg.Counter("dram.bank_wait_cycles", "cycles", "cycles queued behind busy banks").Add(c.dram.BankWaitCycles)
 	reg.Counter("dram.bus_wait_cycles", "cycles", "cycles queued for the shared bus").Add(c.dram.BusWaitCycles)
+
+	// Prefetchers, summed over the cores (all zero when disabled).
+	reg.Counter("prefetch.issued", "requests", "prefetches issued").Add(c.mem.PrefetchIssued)
+	reg.Counter("prefetch.dropped", "requests", "prefetches dropped for lack of an MSHR entry").Add(c.mem.PrefetchDropped)
+	reg.Counter("prefetch.useful", "fills", "prefetched blocks later hit by demand").Add(c.mem.PrefetchUseful)
+	reg.Counter("prefetch.unused", "fills", "prefetched blocks evicted untouched").Add(c.mem.PrefetchUnused)
+	reg.Counter("prefetch.late", "requests", "in-flight prefetches a demand access merged into").Add(c.mem.PrefetchLate)
 
 	// Hybrid selection machinery (SBAR/CBS/DIP runs only).
 	if h := c.hybrid; h != nil {

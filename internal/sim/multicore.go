@@ -33,9 +33,11 @@ type CoreResult struct {
 	L1    cache.Stats
 	MSHR  mshr.Stats
 	// Mem holds this core's share of the memory-side counters: misses it
-	// issued, merges it joined, compulsory misses it touched first, and
-	// the quantized cost its own misses accrued. Prefetch fields and
-	// TrackedBlocks stay zero (the footprint store is chip-wide).
+	// issued, merges it joined, compulsory misses it touched first, the
+	// quantized cost its own misses accrued, and its prefetcher's
+	// accounting (hits and evictions of prefetched blocks are charged to
+	// the core that hit or evicted them). TrackedBlocks stays zero (the
+	// footprint store is chip-wide).
 	Mem MemStats
 	// CostHist is this core's Figure 2 mlp-cost distribution; CostSum its
 	// raw summed cost.
@@ -163,23 +165,15 @@ func (r MultiResult) Summary() string {
 		r.MPKI(), r.AvgMLPCost())
 }
 
-// validateMulti rejects the single-core-only features a multi-core run
-// does not support, with typed errors so CLIs can report them cleanly.
+// validateMulti rejects a core count outside 1..MaxCores and the one
+// feature a MultiResult cannot carry, the interval series, with typed
+// errors so CLIs can report them cleanly.
 func validateMulti(cfg Config, cores int) error {
 	if cores < 1 || cores > MaxCores {
 		return simerr.New(simerr.ErrBadConfig, "sim: multicore run needs 1..%d sources, got %d", MaxCores, cores)
 	}
-	switch {
-	case cfg.Prefetch != nil:
-		return simerr.New(simerr.ErrBadConfig, "sim: multicore run does not support prefetching")
-	case cfg.Capture != nil:
-		return simerr.New(simerr.ErrBadConfig, "sim: multicore run does not support access capture")
-	case cfg.Faults != nil:
-		return simerr.New(simerr.ErrBadConfig, "sim: multicore run does not support fault injection")
-	case cfg.SampleInterval > 0:
+	if cfg.SampleInterval > 0 {
 		return simerr.New(simerr.ErrBadConfig, "sim: multicore run does not support the interval series (SampleInterval)")
-	case cfg.SnapshotInterval > 0:
-		return simerr.New(simerr.ErrBadConfig, "sim: multicore run does not support snapshot emission (SnapshotInterval)")
 	}
 	return nil
 }
@@ -198,9 +192,10 @@ func RunMulti(cfg Config, srcs ...trace.Source) (MultiResult, error) {
 // shared-L2 result. Each core retires up to MaxInstructions from its own
 // source; errors are typed exactly as RunContext's.
 //
-// Multi-core runs reject prefetching, access capture, fault injection
-// and the interval/snapshot series (validateMulti); everything else —
-// tracing, auditing, epochs — carries over.
+// Multi-core runs reject only the interval series (validateMulti):
+// MultiResult has no field for it. Every other feature carries over —
+// a prefetcher per core, chip-wide capture, fault injection and
+// snapshots, tracing, auditing, epochs (docs/MULTICORE.md).
 func RunMultiContext(ctx context.Context, cfg Config, srcs ...trace.Source) (res MultiResult, err error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiResult{}, err

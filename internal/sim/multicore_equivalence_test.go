@@ -1,18 +1,47 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mlpcache/internal/faultinject"
+	"mlpcache/internal/metrics"
+	"mlpcache/internal/prefetch"
 	"mlpcache/internal/workload"
 )
+
+// asResult reassembles a one-core MultiResult in the single-core
+// Result's shape; every field a single-core run fills must match.
+func asResult(multi MultiResult) Result {
+	c0 := multi.Cores[0]
+	return Result{
+		Policy:       multi.Policy,
+		Instructions: multi.Instructions(),
+		Cycles:       multi.Cycles,
+		IPC:          multi.IPC(),
+		CPU:          c0.CPU,
+		Bpred:        c0.Bpred,
+		L1:           c0.L1,
+		L2:           multi.L2,
+		DRAM:         multi.DRAM,
+		Mem:          multi.Mem,
+		MSHR:         c0.MSHR,
+		CostHist:     multi.CostHist,
+		Delta:        multi.Delta,
+		Hybrid:       multi.Hybrid,
+		Learn:        multi.Learn,
+		Audit:        multi.Audit,
+	}
+}
 
 // TestMulticoreSingleCoreEquivalence is the multi-core engine's
 // correctness anchor: a one-core RunMulti must reproduce the single-core
 // engine's Result bit for bit — cycles, IPC, every counter block, the
-// cost histogram and the Table 1 deltas — across the audited policy
-// sweep. The two run loops are written to have identical cycle
-// structure; this test keeps them that way.
+// cost histogram, the Table 1 deltas and the audit report — across the
+// audited policy sweep. Both entry points drive the one memory system
+// and cycle loop; this test keeps their result assembly in step.
 func TestMulticoreSingleCoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is a long test")
@@ -52,33 +81,10 @@ func TestMulticoreSingleCoreEquivalence(t *testing.T) {
 				if len(multi.Cores) != 1 {
 					t.Fatalf("one-core run reported %d cores", len(multi.Cores))
 				}
-				// Reassemble the multi-core result in the single-core
-				// Result's shape; every shared field must match exactly.
-				// The auditors run different checker sets, so the audit
-				// reports are excluded.
-				c0 := multi.Cores[0]
-				got := Result{
-					Policy:       multi.Policy,
-					Instructions: multi.Instructions(),
-					Cycles:       multi.Cycles,
-					IPC:          multi.IPC(),
-					CPU:          c0.CPU,
-					Bpred:        c0.Bpred,
-					L1:           c0.L1,
-					L2:           multi.L2,
-					DRAM:         multi.DRAM,
-					Mem:          multi.Mem,
-					MSHR:         c0.MSHR,
-					CostHist:     multi.CostHist,
-					Delta:        multi.Delta,
-					Hybrid:       multi.Hybrid,
-					Learn:        multi.Learn,
-				}
-				legacy.Audit, legacy.Series = nil, nil
-				if !reflect.DeepEqual(got, legacy) {
+				if got := asResult(multi); !reflect.DeepEqual(got, legacy) {
 					t.Fatalf("one-core multi result diverges from single-core engine:\nmulti:  %+v\nlegacy: %+v", got, legacy)
 				}
-				if !reflect.DeepEqual(c0.CostHist, multi.CostHist) {
+				if !reflect.DeepEqual(multi.Cores[0].CostHist, multi.CostHist) {
 					t.Fatalf("one-core per-core histogram diverges from aggregate")
 				}
 				if multi.CrossCoreMerges != 0 {
@@ -125,22 +131,191 @@ func TestMulticoreDeterminism(t *testing.T) {
 }
 
 // TestMulticoreRejectsSingleCoreFeatures pins validateMulti: the
-// single-core-only features must fail fast with a typed error.
+// interval series, which a MultiResult has no field for, must fail fast
+// with a typed error on any core count, as must a run with no cores.
 func TestMulticoreRejectsSingleCoreFeatures(t *testing.T) {
 	mcf, _ := workload.ByName("mcf")
-	base := DefaultConfig()
-	base.MaxInstructions = 1_000
-	for name, mutate := range map[string]func(*Config){
-		"sample-interval":   func(c *Config) { c.SampleInterval = 100 },
-		"snapshot-interval": func(c *Config) { c.SnapshotInterval = 100 },
-	} {
-		cfg := base
-		mutate(&cfg)
-		if _, err := RunMulti(cfg, mcf.Build(1)); err == nil {
-			t.Errorf("%s: RunMulti accepted an unsupported config", name)
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 1_000
+	if _, err := RunMulti(cfg); err == nil {
+		t.Errorf("RunMulti accepted zero sources")
+	}
+	cfg.SampleInterval = 100
+	if _, err := RunMulti(cfg, mcf.Build(1)); err == nil {
+		t.Errorf("RunMulti accepted the interval series")
+	}
+}
+
+// liftedFeatures are the instruments whose N-core meaning
+// docs/MULTICORE.md defines. enable turns one on and returns a reader
+// of its side output, called after the run: the capture log, the
+// snapshot stream's v2 bytes, or nil. check, when set, tests that
+// meaning on a finished multi-core run and its side output.
+var liftedFeatures = []struct {
+	name   string
+	enable func(cfg *Config) (side func() any)
+	check  func(t *testing.T, res MultiResult, side any)
+}{
+	{"prefetch", func(cfg *Config) func() any {
+		p := prefetch.DefaultConfig()
+		cfg.Prefetch = &p
+		return func() any { return nil }
+	}, func(t *testing.T, res MultiResult, _ any) {
+		if res.Mem.PrefetchIssued == 0 || res.Mem.PrefetchLate+res.Mem.PrefetchUseful == 0 {
+			t.Errorf("prefetchers idle or never used: %+v", res.Mem)
+		}
+	}},
+	{"faults", func(cfg *Config) func() any {
+		cfg.Faults = &faultinject.Plan{Seed: 3, DRAMJitterMax: 97, MSHRCapacity: 2, MSHRThrottleAfter: 20_000}
+		return func() any { return nil }
+	}, nil},
+	{"capture", func(cfg *Config) func() any {
+		rec := &accessRecorder{}
+		cfg.Capture = rec
+		return func() any { return rec.log }
+	}, func(t *testing.T, res MultiResult, side any) {
+		// The log is the shared L2's demand stream: one record per
+		// access of every core, one cost per serviced demand miss.
+		var kinds [3]uint64
+		var costs uint64
+		for _, a := range side.([]capturedAccess) {
+			if a.Cost {
+				costs++
+			} else {
+				kinds[a.Kind]++
+			}
+		}
+		if kinds[AccessMiss] != res.Mem.DemandMisses || kinds[AccessMerge] != res.Mem.MergedMisses || costs != res.Mem.DemandMisses {
+			t.Errorf("capture logged %d misses, %d merges, %d costs; the run had %d misses, %d merges",
+				kinds[AccessMiss], kinds[AccessMerge], costs, res.Mem.DemandMisses, res.Mem.MergedMisses)
+		}
+		if kinds[AccessHit] != res.L2.Hits {
+			t.Errorf("capture logged %d hits, the L2 %d", kinds[AccessHit], res.L2.Hits)
+		}
+	}},
+	{"snapshot", func(cfg *Config) func() any {
+		var buf bytes.Buffer
+		tr := metrics.NewBinaryTracer(&buf, metrics.RunHeader{Policy: cfg.Policy.String()})
+		cfg.Trace = tr
+		cfg.SnapshotInterval = 10_000
+		return func() any {
+			if err := tr.Flush(); err != nil {
+				return err
+			}
+			return buf.Bytes()
+		}
+	}, func(t *testing.T, res MultiResult, side any) {
+		// Chip-wide gauges: one group of 12 per 10,000 instructions
+		// retired over all cores, each stamped tid 0.
+		b, ok := side.([]byte)
+		if !ok {
+			t.Fatalf("snapshot stream: %v", side)
+		}
+		r, err := metrics.NewEventsReader(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := 0
+		for ev, ok := r.Next(); ok; ev, ok = r.Next() {
+			if strings.HasPrefix(string(ev.Type), "snapshot.") {
+				snaps++
+				if ev.Tid != 0 {
+					t.Fatalf("chip-wide %s gauge at cycle %d carries tid %d", ev.Type, ev.Cycle, ev.Tid)
+				}
+			}
+		}
+		if err := r.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if want := int(res.Instructions()/10_000) * 12; snaps != want {
+			t.Errorf("%d snapshot gauges, want %d", snaps, want)
+		}
+	}},
+}
+
+// featureConfig is the audited machine the lifted-feature tests run:
+// a 128 KB L2, small enough that prefetches evict and contend.
+func featureConfig(p PolicySpec, n uint64) Config {
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = n
+	cfg.L2.SizeBytes = 128 * 1024
+	cfg.Policy = p
+	cfg.Audit = true
+	cfg.AuditEvery = 4096
+	return cfg
+}
+
+// TestMulticoreSingleCoreFeatureEquivalence runs each lifted feature
+// through Run and through a one-core RunMulti: the results, audit
+// reports included, and the side outputs — the capture log, the
+// snapshot event bytes — must match bit for bit.
+func TestMulticoreSingleCoreFeatureEquivalence(t *testing.T) {
+	for _, f := range liftedFeatures {
+		for _, bench := range []string{"twolf", "mcf"} {
+			t.Run(f.name+"/"+bench, func(t *testing.T) {
+				t.Parallel()
+				spec, _ := workload.ByName(bench)
+				cfg := featureConfig(PolicySpec{Kind: PolicyLIN, Lambda: 4}, 60_000)
+				side := f.enable(&cfg)
+				single, err := Run(cfg, spec.Build(42))
+				if err != nil {
+					t.Fatalf("single-core run: %v", err)
+				}
+				singleSide := side()
+				cfg = featureConfig(cfg.Policy, cfg.MaxInstructions)
+				side = f.enable(&cfg)
+				multi, err := RunMulti(cfg, spec.Build(42))
+				if err != nil {
+					t.Fatalf("one-core multi run: %v", err)
+				}
+				if got := asResult(multi); !reflect.DeepEqual(got, single) {
+					t.Fatalf("one-core multi result diverges:\nmulti:  %+v\nsingle: %+v", got, single)
+				}
+				if got := side(); !reflect.DeepEqual(got, singleSide) {
+					t.Fatalf("one-core multi side output diverges from the single-core run's")
+				}
+			})
 		}
 	}
-	if _, err := RunMulti(base); err == nil {
-		t.Errorf("RunMulti accepted zero sources")
+}
+
+// TestMulticoreFeaturesAuditClean runs each lifted feature audited on
+// two and four cores, among them the two prefetch mixes where another
+// core's in-flight block and a prefetch's demand upgrade arise: twolf
+// against itself and the four-model SBAR mix, both on the 128 KB L2.
+// Every run must finish without error or violation, each core's cost
+// histogram must hold exactly its own demand misses, and each feature's
+// check must hold.
+func TestMulticoreFeaturesAuditClean(t *testing.T) {
+	mixes := []struct {
+		names  []string
+		policy PolicySpec
+	}{
+		{[]string{"twolf", "twolf"}, PolicySpec{Kind: PolicyLIN, Lambda: 4}},
+		{[]string{"mcf", "art", "parser", "equake"}, PolicySpec{Kind: PolicySBAR, Lambda: 4, LeaderSets: 32}},
+	}
+	for _, f := range liftedFeatures {
+		for _, mix := range mixes {
+			t.Run(f.name+"/"+strings.Join(mix.names, "+"), func(t *testing.T) {
+				t.Parallel()
+				cfg := featureConfig(mix.policy, 60_000)
+				side := f.enable(&cfg)
+				res, err := RunMulti(cfg, sources(mix.names...)...)
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				if !res.Audit.Ok() || res.Audit.Checks == 0 {
+					t.Fatalf("audit: %+v", res.Audit)
+				}
+				for i, c := range res.Cores {
+					if c.CostHist.Total() != c.Mem.DemandMisses {
+						t.Errorf("core %d: %d costed fills, %d demand misses", i, c.CostHist.Total(), c.Mem.DemandMisses)
+					}
+				}
+				if f.check != nil {
+					f.check(t, res, side())
+				}
+			})
+		}
 	}
 }

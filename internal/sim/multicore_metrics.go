@@ -9,7 +9,7 @@ import (
 // Metrics exports a multi-core result as a metrics registry under the
 // names catalogued in docs/OBSERVABILITY.md: the chip-wide families a
 // single-core Result exports too (chip.observe: run.*, cache.l2.*,
-// cost_q.*, delta.*, dram.*, hybrid/psel, learn.*, audit.*), the
+// cost_q.*, delta.*, dram.*, prefetch.*, hybrid/psel, learn.*, audit.*), the
 // multicore.* run shape, and one core.<i>.* group per core. Per-core
 // L1, CPU and branch-predictor detail stays in the CoreResult structs;
 // the registry carries each core's headline counters so dashboards can

@@ -8,6 +8,8 @@ import (
 
 	"mlpcache/internal/audit"
 	"mlpcache/internal/cache"
+	"mlpcache/internal/faultinject"
+	"mlpcache/internal/prefetch"
 	"mlpcache/internal/trace"
 	"mlpcache/internal/workload"
 )
@@ -129,8 +131,10 @@ func checkRanksAgainstReference(t *testing.T, c *cache.Cache, sets, op int) {
 // bit-identical to the cycle-by-cycle reference, and both runs must
 // audit clean. The single-core leg runs two benchmark models and also
 // compares the Figure 11 interval series; the multi-core leg runs two
-// and four cores, and four cores with one core's source ending after
-// 5,000 instructions, so a finished core idles while the others run.
+// and four cores, four cores with one core's source ending after 5,000
+// instructions, so a finished core idles while the others run, and two
+// and four cores with a prefetcher per core and the fault plan (DRAM
+// jitter, then the MSHR throttle) on.
 func TestFastForwardEquivalenceSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is a long test")
@@ -191,14 +195,24 @@ func TestFastForwardEquivalenceSweep(t *testing.T) {
 		}
 	}
 	for _, shape := range []struct {
-		name  string
-		cores int
-		short bool // core 1's source ends after 5,000 instructions
-	}{{"2core", 2, false}, {"4core", 4, false}, {"4core-short", 4, true}} {
+		name     string
+		cores    int
+		short    bool // core 1's source ends after 5,000 instructions
+		features bool // prefetching and fault injection
+	}{
+		{"2core", 2, false, false}, {"4core", 4, false, false}, {"4core-short", 4, true, false},
+		{"2core-prefetch-faults", 2, false, true}, {"4core-prefetch-faults", 4, false, true},
+	} {
 		for _, kind := range AllPolicies {
 			t.Run(shape.name+"/"+string(kind), func(t *testing.T) {
 				t.Parallel()
-				equal(t, config(kind, 25_000), func(cfg Config) (any, *audit.Report, error) {
+				cfg := config(kind, 25_000)
+				if shape.features {
+					p := prefetch.DefaultConfig()
+					cfg.Prefetch = &p
+					cfg.Faults = &faultinject.Plan{Seed: 3, DRAMJitterMax: 97, MSHRCapacity: 2, MSHRThrottleAfter: 20_000}
+				}
+				equal(t, cfg, func(cfg Config) (any, *audit.Report, error) {
 					srcs := mixSources([]string{"mcf", "parser"}, shape.cores)
 					if shape.short {
 						srcs[1] = trace.NewLimit(srcs[1], 5000)
