@@ -25,6 +25,12 @@ type randMem struct {
 	lats     []uint64
 	burst    int // rejections left in the current burst
 	accesses uint64
+	// ports is the core's MemPorts. portBound counts the cycles whose
+	// access attempts, rejected ones included, took every port.
+	ports     int
+	now       uint64
+	inCycle   int
+	portBound uint64
 }
 
 var randLatencies = []uint64{0, 0, 1, 2, 3, 5, 12, 40, 150, 400}
@@ -35,6 +41,12 @@ var randLatencies = []uint64{0, 0, 1, 2, 3, 5, 12, 40, 150, 400}
 var edgeLatencies = []uint64{0, 1, 62, 63, 64, 65, 66, 127, 128, 129, 130, 500}
 
 func (m *randMem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
+	if now != m.now {
+		m.now, m.inCycle = now, 0
+	}
+	if m.inCycle++; m.inCycle == m.ports {
+		m.portBound++
+	}
 	if m.burst == 0 && m.rng.Bool(0.04) {
 		m.burst = 1 + m.rng.Intn(6)
 	}
@@ -59,17 +71,45 @@ func randProgram(seed uint64, n int) []trace.Instr {
 		} else {
 			in.Dep = int32(rng.Intn(201))
 		}
-		switch in.Kind {
-		case trace.Load, trace.Store:
-			in.Addr = uint64(rng.Intn(1<<12)) * 64
-		case trace.Branch:
-			in.Addr = uint64(rng.Intn(64))
-			in.Taken = rng.Bool(0.6)
-			in.Mispredict = rng.Bool(0.05)
-		}
-		ins[i] = in
+		ins[i] = withOperands(rng, in)
 	}
 	return ins
+}
+
+// memProgram returns n instructions, four in five of them loads and
+// stores and the rest of any kind, with dependence distances of 0–4, so
+// several memory instructions are ready when the ports run out.
+func memProgram(seed uint64, n int) []trace.Instr {
+	rng := trace.NewRNG(seed)
+	ins := make([]trace.Instr, n)
+	for i := range ins {
+		var in trace.Instr
+		switch r := rng.Intn(10); {
+		case r < 5:
+			in.Kind = trace.Load
+		case r < 8:
+			in.Kind = trace.Store
+		default:
+			in.Kind = trace.Kind(rng.Intn(int(trace.Branch) + 1))
+		}
+		in.Dep = int32(rng.Intn(5))
+		ins[i] = withOperands(rng, in)
+	}
+	return ins
+}
+
+// withOperands draws the address of a load or store and the id and
+// outcome of a branch.
+func withOperands(rng *trace.RNG, in trace.Instr) trace.Instr {
+	switch in.Kind {
+	case trace.Load, trace.Store:
+		in.Addr = uint64(rng.Intn(1<<12)) * 64
+	case trace.Branch:
+		in.Addr = uint64(rng.Intn(64))
+		in.Taken = rng.Bool(0.6)
+		in.Mispredict = rng.Bool(0.05)
+	}
+	return in
 }
 
 // goldenConfigs are the corner configurations the cycle table covers
@@ -95,6 +135,22 @@ func goldenConfigs() map[string]Config {
 	corner.IntLat = 0
 	corner.IssueWidth = 3
 	cfgs["corner"] = corner
+	return cfgs
+}
+
+// portConfigs are the configurations the cycle table runs memProgram
+// on: one, two and three memory ports behind a one-entry store buffer
+// and a three-wide issue stage, so a cycle's scan often takes every port
+// with memory instructions still ready behind them.
+func portConfigs() map[string]Config {
+	cfgs := map[string]Config{}
+	for ports := 1; ports <= 3; ports++ {
+		cfg := DefaultConfig()
+		cfg.MemPorts = ports
+		cfg.StoreBufferEntries = 1
+		cfg.IssueWidth = 3
+		cfgs[fmt.Sprintf("portbound-memports%d", ports)] = cfg
+	}
 	return cfgs
 }
 
@@ -127,10 +183,11 @@ func edgeConfigs() map[string]Config {
 // traceCycles drives a core over prog cycle by cycle and digests every
 // cycle's (cycle, retired, DidWork, NextEvent) and the final Stats. With
 // skip set it fast-forwards idle cycles the way the run loops do. The
-// core is c after a Reset, or a new one when c is nil.
-func traceCycles(t *testing.T, c *CPU, cfg Config, prog []trace.Instr, lats []uint64, memSeed uint64, skip bool) (string, Stats) {
+// core is c after a Reset, or a new one when c is nil. It also returns
+// the memory's count of cycles that took every port.
+func traceCycles(t *testing.T, c *CPU, cfg Config, prog []trace.Instr, lats []uint64, memSeed uint64, skip bool) (string, Stats, uint64) {
 	t.Helper()
-	mem := &randMem{rng: trace.NewRNG(memSeed), lats: lats}
+	mem := &randMem{rng: trace.NewRNG(memSeed), lats: lats, ports: cfg.MemPorts}
 	if c == nil {
 		c = New(cfg, mem, trace.NewSliceSource(prog))
 	} else {
@@ -154,27 +211,30 @@ func traceCycles(t *testing.T, c *CPU, cfg Config, prog []trace.Instr, lats []ui
 		}
 	}
 	fmt.Fprintf(h, "%+v %d", c.Stats(), mem.accesses)
-	return fmt.Sprintf("%016x", h.Sum64()), c.Stats()
+	return fmt.Sprintf("%016x", h.Sum64()), c.Stats(), mem.portBound
 }
 
 // TestGoldenCycles pins the core's cycle-level behaviour on seeded random
-// programs across the corner and edge configurations: what retires each
-// cycle, whether the cycle counts as work, the next event it reports,
-// and the final counters. Any change to the issue logic that is not a
-// pure speed-up shows here. Regenerate after a deliberate behaviour
-// change with
+// programs across the corner, edge and port-bound configurations: what
+// retires each cycle, whether the cycle counts as work, the next event
+// it reports, and the final counters. Any change to the issue logic that
+// is not a pure speed-up shows here. Regenerate after a deliberate
+// behaviour change with
 //
 //	go test ./internal/cpu -run TestGoldenCycles -update-golden
 func TestGoldenCycles(t *testing.T) {
 	got := map[string]string{}
 	var total Stats
-	record := func(name string, cfg Config, lats []uint64, seeds uint64) {
+	portBound := map[string]uint64{}
+	record := func(name string, cfg Config, program func(uint64, int) []trace.Instr, lats []uint64, seeds uint64) {
 		for seed := uint64(1); seed <= seeds; seed++ {
-			prog := randProgram(seed, 20_000)
+			prog := program(seed, 20_000)
 			for _, skip := range []bool{false, true} {
 				key := fmt.Sprintf("%s/seed%d/skip=%t", name, seed, skip)
 				var st Stats
-				got[key], st = traceCycles(t, nil, cfg, prog, lats, seed*977, skip)
+				var bound uint64
+				got[key], st, bound = traceCycles(t, nil, cfg, prog, lats, seed*977, skip)
+				portBound[name] += bound
 				total.MSHRRejects += st.MSHRRejects
 				total.StoreBufferFullEvents += st.StoreBufferFullEvents
 				total.Mispredicts += st.Mispredicts
@@ -184,15 +244,23 @@ func TestGoldenCycles(t *testing.T) {
 		}
 	}
 	for name, cfg := range goldenConfigs() {
-		record(name, cfg, randLatencies, 3)
+		record(name, cfg, randProgram, randLatencies, 3)
 	}
 	for name, cfg := range edgeConfigs() {
-		record(name, cfg, edgeLatencies, 2)
+		record(name, cfg, randProgram, edgeLatencies, 2)
+	}
+	for name, cfg := range portConfigs() {
+		record(name, cfg, memProgram, randLatencies, 3)
 	}
 	// The table is only as good as the paths it reaches.
 	if total.MSHRRejects == 0 || total.StoreBufferFullEvents == 0 || total.Mispredicts == 0 ||
 		total.MemStallEpisodes == 0 || total.FullWindowCycles == 0 {
 		t.Fatalf("random programs missed a path: %+v", total)
+	}
+	for name := range portConfigs() {
+		if portBound[name] == 0 {
+			t.Fatalf("%s: no cycle took every memory port", name)
+		}
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -233,7 +301,7 @@ func TestResetMidRun(t *testing.T) {
 	for _, rob := range []int{16, 128, 200} {
 		cfg := DefaultConfig()
 		cfg.ROBEntries = rob
-		want, _ := traceCycles(t, nil, cfg, prog, edgeLatencies, 5, true)
+		want, _, _ := traceCycles(t, nil, cfg, prog, edgeLatencies, 5, true)
 		for _, stop := range []uint64{100, 500, 1_000, 2_000, 3_000, 5_000} {
 			mem := &randMem{rng: trace.NewRNG(stop), lats: edgeLatencies}
 			c := New(DefaultConfig(), mem, trace.NewSliceSource(randProgram(stop, 20_000)))
@@ -243,7 +311,7 @@ func TestResetMidRun(t *testing.T) {
 				}
 				c.Cycle(now)
 			}
-			if got, _ := traceCycles(t, c, cfg, prog, edgeLatencies, 5, true); got != want {
+			if got, _, _ := traceCycles(t, c, cfg, prog, edgeLatencies, 5, true); got != want {
 				t.Errorf("ROB %d, stopped after cycle %d: reset core digests %s, new core %s", rob, stop, got, want)
 			}
 		}
