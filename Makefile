@@ -53,8 +53,8 @@ bench:
 # learned-eviction and arena benchmarks, and the per-layer
 # microbenchmarks (the core's BenchmarkWindow, the L2 tag store and
 # policies' BenchmarkL2Access, each model's instruction supply in
-# BenchmarkSupply), once each and fails if any stops being
-# selected — a renamed or deleted benchmark silently vanishes from
+# BenchmarkSupply, the MSHR cost paths in BenchmarkMSHR), once each
+# and fails if any stops being selected — a renamed or deleted benchmark silently vanishes from
 # `go test -bench`, so the output is grepped for each name.
 bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
@@ -75,6 +75,11 @@ bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkSupply' -benchtime 1x -run '^$$' ./internal/workload)"; \
 	echo "$$out"; \
 	for name in BenchmarkSupply/mcf BenchmarkSupply/equake BenchmarkSupply/twolf BenchmarkSupply/bzip2; do \
+		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
+	done
+	@out="$$($(GO) test -bench 'BenchmarkMSHR' -benchtime 1x -run '^$$' ./internal/mshr)"; \
+	echo "$$out"; \
+	for name in BenchmarkMSHR/exact BenchmarkMSHR/adders; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
 
