@@ -18,6 +18,11 @@
 // visits only the ready entries, oldest first, through a one-bit-per-slot
 // ready bitmap. A window stalled on a few chase loads behind completed
 // filler therefore costs nothing per stepped cycle beyond the wake-ups.
+// Once a cycle's loads and stores have taken every memory port, the
+// rest of the scan passes over the memory instructions through a second
+// bitmap, of the slots that hold one, so a ready load or store that
+// cannot issue is not visited again until the next cycle. What issue
+// does with an entry is read from a per-kind table built from Config.
 // Completions due within 63 cycles, all but the DRAM fills, wait on a
 // completion wheel: one slot bitmap per cycle modulo 64, so scheduling
 // a result and waking it are a bit each. Later ones wait in a min-heap.
@@ -130,6 +135,44 @@ const (
 	stDone          // issued; completes when doneAt is reached
 )
 
+// slotWord holds two bitmaps over 64 window slots. ready has a slot's
+// bit set when its entry is unissued and its operand is available:
+// exactly the entries issue may try this cycle. mem has it set when the
+// slot holds a load or store; fetch writes it and issue reads it once
+// the ports are taken.
+type slotWord struct {
+	ready, mem uint64
+}
+
+// Issue classes: what issue does with an instruction of a kind.
+const (
+	opNever uint8 = iota // not an instruction kind: never issues
+	opExec               // a functional unit or branch: its result is lat cycles out
+	opLoad
+	opStore
+)
+
+// kindOp is the issue table's entry for one instruction kind. mem is 1
+// for a load or store: the slot's bit in slotWord.mem.
+type kindOp struct {
+	lat   uint64
+	class uint8
+	mem   uint8
+}
+
+// kindOps builds the issue table for cfg. Kinds past trace.Branch keep
+// the zero entry, opNever.
+func kindOps(cfg Config) (ops [256]kindOp) {
+	ops[trace.Int] = kindOp{lat: cfg.IntLat, class: opExec}
+	ops[trace.Mul] = kindOp{lat: cfg.MulLat, class: opExec}
+	ops[trace.FP] = kindOp{lat: cfg.FPLat, class: opExec}
+	ops[trace.Div] = kindOp{lat: cfg.DivLat, class: opExec}
+	ops[trace.Branch] = kindOp{lat: 1, class: opExec}
+	ops[trace.Load] = kindOp{class: opLoad, mem: 1}
+	ops[trace.Store] = kindOp{class: opStore, mem: 1}
+	return ops
+}
+
 type robEntry struct {
 	in     trace.Instr
 	doneAt uint64
@@ -170,9 +213,9 @@ type CPU struct {
 	fetchPos int
 
 	rob []robEntry
-	// ready has bit s set when rob[s] is unissued and its operand is
-	// available: exactly the entries issue may try this cycle.
-	ready    []uint64
+	// slots holds the window's per-slot bitmaps, 64 slots a word: slot s
+	// is bit s&63 of slots[s>>6].
+	slots    []slotWord
 	head     int
 	count    int
 	headG    uint64 // global index of rob[head]
@@ -189,8 +232,8 @@ type CPU struct {
 	// after lastNow, the last cycle run. They wake their consumers when
 	// that cycle arrives, and the earliest one bounds a run loop's skip.
 	// One due at most wheelSize-1 cycles out sets its slot's bit in the
-	// wheel bucket for doneAt mod wheelSize (len(ready) words per bucket,
-	// bucket b at wheel[b*len(ready):]), and wheelMask has bit b set
+	// wheel bucket for doneAt mod wheelSize (len(slots) words per bucket,
+	// bucket b at wheel[b*len(slots):]), and wheelMask has bit b set
 	// while bucket b is non-empty. Every wheel entry lies within
 	// wheelSize-1 cycles after lastNow, so no bucket holds two cycles.
 	// Completions due later wait in far.
@@ -202,6 +245,11 @@ type CPU struct {
 
 	inMemStall bool
 	stats      Stats
+	// retiredKind counts retired instructions by kind; Stats folds it
+	// into Retired, Loads, Stores and Branches. Only kinds below 8 issue,
+	// so only they retire.
+	retiredKind [8]uint64
+	ops         [256]kindOp // the issue table, by trace.Kind
 }
 
 // completion is an in-flight result on the far heap: the ROB slot that
@@ -271,8 +319,9 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 		src:      src,
 		fetched:  make([]trace.Instr, 0, fetchBatch),
 		rob:      make([]robEntry, cfg.ROBEntries),
-		ready:    make([]uint64, readyWords(cfg.ROBEntries)),
-		wheel:    make([]uint64, wheelSize*readyWords(cfg.ROBEntries)),
+		slots:    make([]slotWord, slotWords(cfg.ROBEntries)),
+		ops:      kindOps(cfg),
+		wheel:    make([]uint64, wheelSize*slotWords(cfg.ROBEntries)),
 		blockedG: noBranch,
 	}
 	if cfg.BranchPredictor != nil {
@@ -281,16 +330,17 @@ func New(cfg Config, mem MemSystem, src trace.Source) *CPU {
 	return c
 }
 
-func readyWords(robEntries int) int { return (robEntries + 63) / 64 }
+func slotWords(robEntries int) int { return (robEntries + 63) / 64 }
 
 // Reset returns the core to just-built state executing src against mem,
-// recycling the fetch buffer, ROB ring, ready bitmap, completion wheel,
+// recycling the fetch buffer, ROB ring, slot bitmaps, completion wheel,
 // store buffer and far-heap backings — the arena's reuse contract. The
-// ring, bitmap and wheel are rebuilt only when the window size changes;
-// the bitmap and wheel are cleared, since a run stopped before the core
-// drains leaves bits in both. Stale ROB entries are safe to keep:
-// fetch fully overwrites a slot before any stage reads it. A configured
-// branch predictor is rebuilt fresh (its tables are run state).
+// ring, bitmaps and wheel are rebuilt only when the window size changes;
+// the bitmaps and wheel are cleared, since a run stopped before the core
+// drains leaves ready bits in both. Stale ROB entries are safe to keep:
+// fetch fully overwrites a slot before any stage reads it. The issue
+// table is rebuilt from cfg, and a configured branch predictor is
+// rebuilt fresh (its tables are run state).
 func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -298,13 +348,13 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 	if mem == nil || src == nil {
 		panic(simerr.New(simerr.ErrBadConfig, "cpu: need a memory system and a source"))
 	}
-	rob, ready, wheel := c.rob, c.ready, c.wheel
+	rob, slots, wheel := c.rob, c.slots, c.wheel
 	if len(rob) != cfg.ROBEntries {
 		rob = make([]robEntry, cfg.ROBEntries)
-		ready = make([]uint64, readyWords(cfg.ROBEntries))
-		wheel = make([]uint64, wheelSize*len(ready))
+		slots = make([]slotWord, slotWords(cfg.ROBEntries))
+		wheel = make([]uint64, wheelSize*len(slots))
 	}
-	clear(ready)
+	clear(slots)
 	clear(wheel)
 	var pred *bpred.Predictor
 	if cfg.BranchPredictor != nil {
@@ -316,7 +366,8 @@ func (c *CPU) Reset(cfg Config, mem MemSystem, src trace.Source) {
 		src:       src,
 		fetched:   c.fetched[:0],
 		rob:       rob,
-		ready:     ready,
+		slots:     slots,
+		ops:       kindOps(cfg),
 		wheel:     wheel,
 		blockedG:  noBranch,
 		storeDone: c.storeDone[:0],
@@ -335,7 +386,16 @@ func (c *CPU) PredictorStats() bpred.Stats {
 }
 
 // Stats returns the core's counters.
-func (c *CPU) Stats() Stats { return c.stats }
+func (c *CPU) Stats() Stats {
+	st := c.stats
+	for _, n := range c.retiredKind {
+		st.Retired += n
+	}
+	st.Loads = c.retiredKind[trace.Load]
+	st.Stores = c.retiredKind[trace.Store]
+	st.Branches = c.retiredKind[trace.Branch]
+	return st
+}
 
 // Finished reports whether the source is drained and the window empty.
 func (c *CPU) Finished() bool { return c.srcDone && c.count == 0 }
@@ -351,16 +411,17 @@ func (c *CPU) slot(g uint64) int {
 	return s
 }
 
-func (c *CPU) setReady(s int)   { c.ready[s>>6] |= 1 << (s & 63) }
-func (c *CPU) clearReady(s int) { c.ready[s>>6] &^= 1 << (s & 63) }
+func (c *CPU) setReady(s int)   { c.slots[s>>6].ready |= 1 << (s & 63) }
+func (c *CPU) clearReady(s int) { c.slots[s>>6].ready &^= 1 << (s & 63) }
 
-// nextReady returns the first ready slot in [from, to), or to if none.
-// It reads the bitmap live, so a consumer woken earlier in the same scan
-// is found.
-func (c *CPU) nextReady(from, to int) int {
+// nextReady returns the first ready slot in [from, to), or to if none,
+// passing over the memory instructions when skip is all ones. It reads
+// the bitmap live, so a consumer woken earlier in the same scan is found.
+func (c *CPU) nextReady(from, to int, skip uint64) int {
 	for from < to {
-		if w := c.ready[from>>6] >> (from & 63); w != 0 {
-			return min(from+bits.TrailingZeros64(w), to)
+		w := &c.slots[from>>6]
+		if r := (w.ready &^ (w.mem & skip)) >> (from & 63); r != 0 {
+			return min(from+bits.TrailingZeros64(r), to)
 		}
 		from = (from | 63) + 1
 	}
@@ -472,16 +533,9 @@ func (c *CPU) retire(now uint64) int {
 		if e.state != stDone || e.doneAt > now {
 			break
 		}
-		switch e.in.Kind {
-		case trace.Load:
-			c.stats.Loads++
-		case trace.Store:
-			c.stats.Stores++
-		case trace.Branch:
-			c.stats.Branches++
-			if e.mispredicted {
-				c.stats.Mispredicts++
-			}
+		c.retiredKind[e.in.Kind&7]++
+		if e.mispredicted {
+			c.stats.Mispredicts++
 		}
 		c.head++
 		if c.head == len(c.rob) {
@@ -489,7 +543,6 @@ func (c *CPU) retire(now uint64) int {
 		}
 		c.headG++
 		c.count--
-		c.stats.Retired++
 		retired++
 	}
 	if retired == 0 && c.count > 0 {
@@ -530,7 +583,7 @@ func (c *CPU) wakeDue(now uint64) {
 		}
 		c.wheelMask &^= due
 		for ; due != 0; due &= due - 1 {
-			bucket := c.wheel[bits.TrailingZeros64(due)*len(c.ready):][:len(c.ready)]
+			bucket := c.wheel[bits.TrailingZeros64(due)*len(c.slots):][:len(c.slots)]
 			for i, w := range bucket {
 				bucket[i] = 0
 				for ; w != 0; w &= w - 1 {
@@ -551,40 +604,36 @@ func (c *CPU) wakeDue(now uint64) {
 // tries the ready entries oldest first: from the head to the end of the
 // ring, then the wrap-around. An entry that cannot issue this cycle (no
 // memory port, a full store buffer, an MSHR rejection) stays ready and
-// is retried on a later cycle.
+// is retried on a later cycle. Once the loads and stores tried have
+// taken every port, skip masks the memory instructions out of the rest
+// of the scan: a load or store checks its port before anything else, so
+// one without a port does nothing when visited, and the ports stay taken
+// until the cycle ends.
 func (c *CPU) issue(now uint64) {
 	c.wakeDue(now)
 	issued, memIssued := 0, 0
+	var skip uint64
 	// base+s is the global index of slot s within the current segment.
 	lo, hi, base := c.head, len(c.rob), c.headG-uint64(c.head)
 	for range 2 {
-		for s := c.nextReady(lo, hi); s < hi; s = c.nextReady(s+1, hi) {
+		for s := c.nextReady(lo, hi, skip); s < hi; s = c.nextReady(s+1, hi, skip) {
 			if issued >= c.cfg.IssueWidth {
 				return
 			}
 			e := &c.rob[s]
-			var doneAt uint64
-			switch e.in.Kind {
-			case trace.Int:
-				doneAt = now + c.cfg.IntLat
-			case trace.Mul:
-				doneAt = now + c.cfg.MulLat
-			case trace.FP:
-				doneAt = now + c.cfg.FPLat
-			case trace.Div:
-				doneAt = now + c.cfg.DivLat
-			case trace.Branch:
-				doneAt = now + 1
+			op := c.ops[e.in.Kind]
+			doneAt := now + op.lat
+			switch op.class {
+			case opExec:
 				if c.blockedG == base+uint64(s) {
-					// Branch resolved: fetch redirects after the
-					// minimum misprediction penalty.
+					// The mispredicted branch resolved: fetch
+					// redirects after the minimum penalty.
 					c.resumeAt = doneAt + c.cfg.MispredictPenalty
 				}
-			case trace.Load:
-				if memIssued >= c.cfg.MemPorts {
-					continue
+			case opLoad:
+				if memIssued++; memIssued == c.cfg.MemPorts {
+					skip = ^uint64(0)
 				}
-				memIssued++
 				done, ok := c.mem.Access(e.in.Addr, false, now)
 				if !ok {
 					// A rejected access still mutates state (reject
@@ -596,10 +645,7 @@ func (c *CPU) issue(now uint64) {
 					continue
 				}
 				doneAt = done
-			case trace.Store:
-				if memIssued >= c.cfg.MemPorts {
-					continue
-				}
+			case opStore:
 				if len(c.storeDone) >= c.cfg.StoreBufferEntries {
 					// The full-buffer event accrues per executed cycle,
 					// so the cycle counts as work for the same reason a
@@ -608,7 +654,9 @@ func (c *CPU) issue(now uint64) {
 					c.didWork = true
 					continue // window blocks only when the buffer is full
 				}
-				memIssued++
+				if memIssued++; memIssued == c.cfg.MemPorts {
+					skip = ^uint64(0)
+				}
 				done, ok := c.mem.Access(e.in.Addr, true, now)
 				if !ok {
 					c.stats.MSHRRejects++
@@ -620,7 +668,7 @@ func (c *CPU) issue(now uint64) {
 				c.storeDone = append(c.storeDone, done)
 				doneAt = now + 1
 			default:
-				continue // not an instruction kind: never issues
+				continue // opNever
 			}
 			issued++
 			c.complete(s, doneAt, now)
@@ -646,7 +694,7 @@ func (c *CPU) complete(s int, doneAt, now uint64) {
 		c.wake(s)
 	case doneAt-now < wheelSize:
 		b := int(doneAt % wheelSize)
-		c.wheel[b*len(c.ready)+s>>6] |= 1 << (s & 63)
+		c.wheel[b*len(c.slots)+s>>6] |= 1 << (s & 63)
 		c.wheelMask |= 1 << b
 	default:
 		c.far.push(completion{at: doneAt, slot: s})
@@ -694,6 +742,8 @@ func (c *CPU) fetch(now uint64) {
 		in := c.fetched[c.fetchPos]
 		c.fetchPos++
 		mispredicted := in.Kind == trace.Branch && c.branchMispredicted(in)
+		w := &c.slots[slot>>6]
+		w.mem = w.mem&^(1<<(slot&63)) | uint64(c.ops[in.Kind].mem)<<(slot&63)
 		// Field by field: a composite literal is built on the stack and
 		// copied in with wide loads that span its narrower stores, which
 		// defeats store-to-load forwarding.
