@@ -14,6 +14,7 @@ package mshr
 
 import (
 	"fmt"
+	"math"
 
 	"mlpcache/internal/blockmap"
 	"mlpcache/internal/metrics"
@@ -68,6 +69,13 @@ type MSHR struct {
 	// instead of O(entries) per cycle.
 	clock   float64
 	clockAt uint64 // cycle the clock was last advanced to
+	// busy counts the cycles up to clockAt with a demand miss
+	// outstanding, and freed the cost Free has returned for demand
+	// entries. Algorithm 1 hands out one cycle of cost per busy cycle,
+	// so freed plus the outstanding entries' cost equals busy, which
+	// AuditInvariants checks. Exact mode only.
+	busy  uint64
+	freed float64
 
 	// Peak tracks the maximum simultaneous occupancy observed.
 	Peak int
@@ -136,6 +144,8 @@ func (m *MSHR) Reset() {
 	m.rr = 0
 	m.clock = 0
 	m.clockAt = 0
+	m.busy = 0
+	m.freed = 0
 	m.Peak = 0
 	m.allocations = 0
 	m.merges = 0
@@ -148,6 +158,7 @@ func (m *MSHR) advanceClock(cycle uint64) {
 	if cycle > m.clockAt {
 		if m.demand > 0 {
 			m.clock += float64(cycle-m.clockAt) / float64(m.demand)
+			m.busy += cycle - m.clockAt
 		}
 		m.clockAt = cycle
 	}
@@ -240,17 +251,19 @@ func (m *MSHR) Allocate(block uint64, demand bool, cycle uint64) (primary, full 
 
 // Tick advances the cost calculation logic by one cycle (Algorithm 1's
 // update_mlp_cost). cycle is the current cycle number, used by the
-// adder-sharing approximation.
+// adder-sharing approximation. Exact mode needs no per-cycle work: the
+// cost clock advances lazily at allocate/free events, and Tick returns
+// at once. It is small enough to inline, so that return costs no call.
 func (m *MSHR) Tick(cycle uint64) {
-	if m.demand == 0 {
+	if m.demand == 0 || m.Exact() {
 		return
 	}
-	if m.Exact() {
-		// Exact mode needs no per-cycle work: the cost clock advances
-		// lazily at allocate/free events. (Calling Tick is still
-		// harmless.)
-		return
-	}
+	m.tickAdders(cycle)
+}
+
+// tickAdders is Tick's time-shared-adder update, with N > 0 demand
+// misses outstanding.
+func (m *MSHR) tickAdders(cycle uint64) {
 	share := 1 / float64(m.demand)
 	// Time-shared adders: visit up to Adders valid entries round-robin,
 	// crediting each with the cycles elapsed since its last visit at the
@@ -293,6 +306,7 @@ func (m *MSHR) Free(block uint64, cycle uint64) (float64, error) {
 		if e.demand {
 			m.advanceClock(cycle)
 			cost = m.clock - e.base
+			m.freed += cost
 		}
 	default:
 		if e.demand && m.demand > 0 {
@@ -338,11 +352,15 @@ func (m *MSHR) Cost(block uint64, cycle uint64) (cost float64, ok bool) {
 // no alias, no dangling slot); the demand counter equals the number of
 // valid demand entries; occupancy never exceeds the configured size; in
 // exact mode every valid demand entry's cost-clock base is no greater
-// than the current clock.
+// than the current clock, and cost is conserved: the cost Free has
+// returned plus the outstanding demand entries' cost so far equals the
+// busy cycles, to a relative 1e-9. The time-shared-adder approximation
+// is exempt from conservation.
 func (m *MSHR) AuditInvariants() []string {
 	var out []string
 	valid := 0
 	demand := 0
+	charged := m.freed
 	for i := range m.entries {
 		e := &m.entries[i]
 		if !e.valid {
@@ -351,6 +369,7 @@ func (m *MSHR) AuditInvariants() []string {
 		valid++
 		if e.demand {
 			demand++
+			charged += m.clock - e.base
 		}
 		slot, ok := m.index.Get(e.block)
 		if !ok {
@@ -370,6 +389,9 @@ func (m *MSHR) AuditInvariants() []string {
 	}
 	if valid > m.cfg.Entries {
 		out = append(out, fmt.Sprintf("occupancy %d exceeds configured %d entries", valid, m.cfg.Entries))
+	}
+	if busy := float64(m.busy); m.Exact() && math.Abs(charged-busy) > 1e-9*max(busy, 1) {
+		out = append(out, fmt.Sprintf("cost not conserved: %v charged (%v freed) over %d busy cycles", charged, m.freed, m.busy))
 	}
 	m.index.Range(func(block uint64, slot int) bool {
 		if slot < 0 || slot >= len(m.entries) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +267,9 @@ func TestCostConservationProperty(t *testing.T) {
 					break
 				}
 			}
+			if len(m.AuditInvariants()) != 0 {
+				return false
+			}
 		}
 		for b := range inflight {
 			c, err := m.Free(b, cycle)
@@ -278,6 +282,26 @@ func TestCostConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAuditNamesCostNotConserved moves one outstanding entry's
+// cost-clock base back by 10, so the entry has been charged 10 cycles
+// that no busy cycle paid for, and checks that the audit names exactly
+// that violation.
+func TestAuditNamesCostNotConserved(t *testing.T) {
+	m := New(Config{Entries: 4})
+	m.Allocate(1, true, 0)
+	m.Allocate(2, true, 100)
+	free(t, m, 1, 300)
+	if v := m.AuditInvariants(); len(v) != 0 {
+		t.Fatalf("intact file reports %v", v)
+	}
+	i, _ := m.index.Get(2)
+	m.entries[i].base -= 10
+	v := m.AuditInvariants()
+	if len(v) != 1 || !strings.Contains(v[0], "cost not conserved") {
+		t.Fatalf("audit reports %q, want one cost-conservation violation", v)
 	}
 }
 
