@@ -58,9 +58,22 @@ type Config struct {
 	Index Indexer
 }
 
+// String prints the geometry the configuration resolves to: the set
+// count SetCount gives, 0 for an unbuildable geometry, and the line size
+// with its 64-byte default.
 func (c Config) String() string {
+	sets, _ := c.SetCount()
+	block := c.blockBytes()
 	return fmt.Sprintf("%dKB %d-way %dB-line (%d sets)",
-		uint64(c.Sets)*uint64(c.Assoc)*c.BlockBytes/1024, c.Assoc, c.BlockBytes, c.Sets)
+		uint64(sets)*uint64(c.Assoc)*block/1024, c.Assoc, block, sets)
+}
+
+// blockBytes returns the line size, 64 bytes when BlockBytes is 0.
+func (c Config) blockBytes() uint64 {
+	if c.BlockBytes == 0 {
+		return 64
+	}
+	return c.BlockBytes
 }
 
 // Validate checks the geometry, wrapping failures in simerr.ErrBadConfig.
@@ -75,10 +88,7 @@ func (c Config) Validate() error {
 // given, otherwise derived from SizeBytes — or a wrapped
 // simerr.ErrBadConfig when the geometry is unbuildable.
 func (c Config) SetCount() (int, error) {
-	block := c.BlockBytes
-	if block == 0 {
-		block = 64
-	}
+	block := c.blockBytes()
 	if c.Assoc <= 0 || c.Assoc > maxAssoc {
 		return 0, simerr.New(simerr.ErrBadConfig, "cache: associativity must be in [1,%d], got %d", maxAssoc, c.Assoc)
 	}
@@ -195,9 +205,7 @@ func New(cfg Config, policy Policy) *Cache {
 	if err != nil {
 		panic(err)
 	}
-	if cfg.BlockBytes == 0 {
-		cfg.BlockBytes = 64
-	}
+	cfg.BlockBytes = cfg.blockBytes()
 	cfg.Sets = sets
 	c := &Cache{cfg: cfg, assoc: cfg.Assoc, customIndex: cfg.Index != nil}
 	if bits, ok := log2(cfg.BlockBytes); ok {

@@ -17,6 +17,27 @@ func TestConfigDerivesSets(t *testing.T) {
 	}
 }
 
+// TestConfigString checks that a configuration prints the geometry it
+// resolves to, whether sized by SizeBytes or by Sets, with the line
+// size defaulted.
+func TestConfigString(t *testing.T) {
+	cases := []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{SizeBytes: 16 << 10, Assoc: 4}, "16KB 4-way 64B-line (64 sets)"},
+		{Config{SizeBytes: 1 << 20, Assoc: 16, BlockBytes: 128}, "1024KB 16-way 128B-line (512 sets)"},
+		{Config{Sets: 2048, Assoc: 8}, "1024KB 8-way 64B-line (2048 sets)"},
+		{Config{SizeBytes: 1 << 20, Sets: 64, Assoc: 2, BlockBytes: 64}, "8KB 2-way 64B-line (64 sets)"},
+		{Config{Assoc: 4}, "0KB 4-way 64B-line (0 sets)"},
+	}
+	for _, tc := range cases {
+		if got := tc.cfg.String(); got != tc.want {
+			t.Errorf("%#v prints %q, want %q", tc.cfg, got, tc.want)
+		}
+	}
+}
+
 func TestInvalidConfigsPanic(t *testing.T) {
 	cases := []Config{
 		{Assoc: 0, Sets: 4},
