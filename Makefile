@@ -54,8 +54,9 @@ bench:
 # microbenchmarks (the core's BenchmarkWindow, the L2 tag store and
 # policies' BenchmarkL2Access, each model's instruction supply in
 # BenchmarkSupply, the MSHR cost paths in BenchmarkMSHR), once each
-# and fails if any stops being selected — a renamed or deleted benchmark silently vanishes from
-# `go test -bench`, so the output is grepped for each name.
+# and fails if any stops being selected — a renamed or deleted
+# benchmark silently vanishes from `go test -bench`, so the output is
+# grepped for each name.
 bench-smoke:
 	@out="$$($(GO) test -bench 'BenchmarkObservability|BenchmarkTracingV2|BenchmarkOracleHeadroom|BenchmarkMulticoreThroughput|BenchmarkLearnedEviction|BenchmarkArenaReuse' -benchtime 1x -run '^$$' .)"; \
 	echo "$$out"; \
