@@ -390,7 +390,8 @@ func (m *MSHR) AuditInvariants() []string {
 	if valid > m.cfg.Entries {
 		out = append(out, fmt.Sprintf("occupancy %d exceeds configured %d entries", valid, m.cfg.Entries))
 	}
-	if busy := float64(m.busy); m.Exact() && math.Abs(charged-busy) > 1e-9*max(busy, 1) {
+	// Negated, so a NaN charge is a violation too.
+	if busy := float64(m.busy); m.Exact() && !(math.Abs(charged-busy) <= 1e-9*max(busy, 1)) {
 		out = append(out, fmt.Sprintf("cost not conserved: %v charged (%v freed) over %d busy cycles", charged, m.freed, m.busy))
 	}
 	m.index.Range(func(block uint64, slot int) bool {

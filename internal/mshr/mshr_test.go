@@ -289,23 +289,28 @@ func TestCostConservationProperty(t *testing.T) {
 	}
 }
 
-// TestAuditNamesCostNotConserved moves one outstanding entry's
-// cost-clock base back by 10, so the entry has been charged 10 cycles
-// that no busy cycle paid for, and checks that the audit names exactly
-// that violation.
+// TestAuditNamesCostNotConserved corrupts one outstanding entry's
+// cost-clock base, moving it back by 10 (the entry has been charged 10
+// cycles that no busy cycle paid for) or making it NaN, and checks that
+// the audit names exactly that violation.
 func TestAuditNamesCostNotConserved(t *testing.T) {
-	m := New(Config{Entries: 4})
-	m.Allocate(1, true, 0)
-	m.Allocate(2, true, 100)
-	free(t, m, 1, 300)
-	if v := m.AuditInvariants(); len(v) != 0 {
-		t.Fatalf("intact file reports %v", v)
-	}
-	i, _ := m.index.Get(2)
-	m.entries[i].base -= 10
-	v := m.AuditInvariants()
-	if len(v) != 1 || !strings.Contains(v[0], "cost not conserved") {
-		t.Fatalf("audit reports %q, want one cost-conservation violation", v)
+	for _, corrupt := range []func(float64) float64{
+		func(b float64) float64 { return b - 10 },
+		func(float64) float64 { return math.NaN() },
+	} {
+		m := New(Config{Entries: 4})
+		m.Allocate(1, true, 0)
+		m.Allocate(2, true, 100)
+		free(t, m, 1, 300)
+		if v := m.AuditInvariants(); len(v) != 0 {
+			t.Fatalf("intact file reports %v", v)
+		}
+		i, _ := m.index.Get(2)
+		m.entries[i].base = corrupt(m.entries[i].base)
+		v := m.AuditInvariants()
+		if len(v) != 1 || !strings.Contains(v[0], "cost not conserved") {
+			t.Fatalf("audit reports %q, want one cost-conservation violation", v)
+		}
 	}
 }
 
