@@ -606,9 +606,10 @@ func (c *CPU) wakeDue(now uint64) {
 // memory port, a full store buffer, an MSHR rejection) stays ready and
 // is retried on a later cycle. Once the loads and stores tried have
 // taken every port, skip masks the memory instructions out of the rest
-// of the scan: a load or store checks its port before anything else, so
-// one without a port does nothing when visited, and the ports stay taken
-// until the cycle ends.
+// of the scan, and the ports stay taken until the cycle ends, so a load
+// or store reaches its case only with a port free. Passing over one
+// without a port is what visiting it did: the port was the first thing
+// it checked.
 func (c *CPU) issue(now uint64) {
 	c.wakeDue(now)
 	issued, memIssued := 0, 0
@@ -668,7 +669,7 @@ func (c *CPU) issue(now uint64) {
 				c.storeDone = append(c.storeDone, done)
 				doneAt = now + 1
 			default:
-				continue // opNever
+				continue // not an instruction kind: never issues
 			}
 			issued++
 			c.complete(s, doneAt, now)
