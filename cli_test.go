@@ -210,11 +210,17 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
-	t.Run("mlpsim-series-multicore-fails", func(t *testing.T) {
-		out := mustFailCleanly(t, "mlpsim", "-bench", "mcf,art",
-			"-cores", "2", "-series", "-n", "1000")
-		if !strings.Contains(out, "-series") || !strings.Contains(out, "-cores") {
-			t.Fatalf("diagnostic does not name the conflicting flags:\n%s", out)
+	t.Run("mlpsim-series-multicore", func(t *testing.T) {
+		// The Figure 11 series is chip-wide: 20,000 instructions on
+		// each of two cores close four 10,000-instruction points.
+		out := runTool(t, dir, "mlpsim", "-bench", "mcf,art", "-cores", "2", "-policy", "sbar",
+			"-series", "-interval", "10000", "-n", "20000", "-hist=false")
+		_, points, ok := strings.Cut(out, "time series (instructions, IPC, MPKI, avg cost_q):\n")
+		if !ok {
+			t.Fatalf("two-core report lacks the series:\n%s", out)
+		}
+		if n := len(strings.Fields(points)); n != 4*4 {
+			t.Fatalf("two-core series has %d fields, want 4 points of 4:\n%s", n, out)
 		}
 	})
 

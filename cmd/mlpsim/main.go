@@ -5,9 +5,10 @@
 // comma-separated -bench mix — sharing the contended L2, and reports
 // per-core plus aggregate statistics (see docs/MULTICORE.md). A -cores 1
 // run and a plain run are the same simulation: both execute on the one
-// N-core memory system and cycle loop, so -prefetch, -oracle and
-// -snapshot-interval work at every core count; only -trace replay and
-// -series stay single-core.
+// N-core memory system and cycle loop, so -prefetch, -oracle,
+// -snapshot-interval and -series work at every core count (on N cores
+// the Figure 11 series is chip-wide); only -trace replay stays
+// single-core.
 //
 // Reports go to stdout; telemetry goes to files: -json swaps the text
 // report for a machine-readable one (schema "mlpcache.run/v1"), -metrics
@@ -124,8 +125,6 @@ func main() {
 			fatal(2, "-cores must be at most %d", sim.MaxCores)
 		case *traceFile != "":
 			fatal(2, "-cores does not support -trace replay")
-		case *series:
-			fatal(2, "-cores does not support -series")
 		}
 		names := strings.Split(*bench, ",")
 		var labels []string
@@ -309,8 +308,9 @@ func main() {
 // printTail renders the lines both reports share: the hybrid selection
 // counters with each thread's final selector (hybrid runs only; psel is
 // empty for one core), the learned-eviction accounting, the mlp-cost
-// histogram when hist is set, and the audit summary.
-func printTail(h *core.HybridStats, psel []int, l *learn.Stats, hist bool, costs *stats.Histogram, a *audit.Report) {
+// histogram when hist is set, the audit summary, and the Figure 11
+// series when the run sampled one.
+func printTail(h *core.HybridStats, psel []int, l *learn.Stats, hist bool, costs *stats.Histogram, a *audit.Report, ser *sim.SeriesSet) {
 	if h != nil {
 		fmt.Printf("hybrid: PSEL +%d/-%d updates, victims %d LIN / %d LRU\n",
 			h.PselIncrements, h.PselDecrements, h.LinVictims, h.LruVictims)
@@ -330,6 +330,13 @@ func printTail(h *core.HybridStats, psel []int, l *learn.Stats, hist bool, costs
 	}
 	if a != nil {
 		fmt.Printf("audit: %d passes, %d violations\n", a.Checks, len(a.Violations))
+	}
+	if ser != nil {
+		fmt.Println("time series (instructions, IPC, MPKI, avg cost_q):")
+		for i, p := range ser.IPC.Points {
+			fmt.Printf("  %10d  %.4f  %8.3f  %.2f\n",
+				p.Instructions, p.Value, ser.MPKI.Points[i].Value, ser.AvgCostQ.Points[i].Value)
+		}
 	}
 }
 
@@ -396,7 +403,7 @@ func printMultiReport(res sim.MultiResult, benchLabel string, hist bool) {
 			i, c.Instructions, c.IPC, c.Mem.DemandMisses, c.Mem.MergedMisses,
 			c.MPKI(), c.AvgMLPCost(), c.CPU.MemStallCycles)
 	}
-	printTail(res.Hybrid, res.PselValues, res.Learn, hist, res.CostHist, res.Audit)
+	printTail(res.Hybrid, res.PselValues, res.Learn, hist, res.CostHist, res.Audit, res.Series)
 }
 
 // printReport renders the human-readable run report to stdout.
@@ -427,16 +434,7 @@ func printReport(res sim.Result, benchLabel string, hist bool) {
 			100*float64(res.Bpred.GshareUsed)/float64(res.Bpred.Lookups))
 	}
 	printPrefetch(res.Mem)
-	printTail(res.Hybrid, nil, res.Learn, hist, res.CostHist, res.Audit)
-	if res.Series != nil {
-		fmt.Println("time series (instructions, IPC, MPKI, avg cost_q):")
-		for i, p := range res.Series.IPC.Points {
-			fmt.Printf("  %10d  %.4f  %8.3f  %.2f\n",
-				p.Instructions, p.Value,
-				res.Series.MPKI.Points[i].Value,
-				res.Series.AvgCostQ.Points[i].Value)
-		}
-	}
+	printTail(res.Hybrid, nil, res.Learn, hist, res.CostHist, res.Audit, res.Series)
 }
 
 // policyKinds lists every -policy value, sim.AllPolicies in order,

@@ -196,11 +196,13 @@ var covering = sync.OnceValue(func() coverage {
 	c.oracle = metrics.NewRegistry()
 	oracle.Compare(capture.Log(), sets, cfg.L2.Assoc).Observe(c.oracle)
 
-	// The multi-core families: mcf+art sharing the L2 under audited
-	// rand-dynamic SBAR, so the partitioned per-thread selectors exist
-	// and core.<i>.psel_value registers.
+	// The multi-core families: mcf+art sharing the L2 under audited,
+	// sampled rand-dynamic SBAR, so the partitioned per-thread
+	// selectors exist, core.<i>.psel_value registers and the chip-wide
+	// interval.* series are exported.
 	cfg = sim.DefaultConfig()
 	cfg.MaxInstructions = 120_000
+	cfg.SampleInterval = 60_000
 	cfg.Audit = true
 	cfg.Policy = sim.PolicySpec{Kind: sim.PolicySBAR, RandDynamic: true, Seed: 42}
 	cfg.EpochInstructions = 60_000
@@ -266,13 +268,6 @@ func contentionTables(t testing.TB) (mixes, policies []string) {
 		}
 	}
 	return mixes, policies
-}
-
-// rejectedFeatures maps each feature RunMulti refuses to a mutation
-// enabling it; RunMulti must refuse each with ErrBadConfig, even on one
-// core.
-var rejectedFeatures = map[string]func(*sim.Config){
-	"SampleInterval": func(cfg *sim.Config) { cfg.SampleInterval = 10_000 },
 }
 
 // TestDocContracts compares each contract table in docs/ with what the
@@ -369,20 +364,6 @@ func TestDocContracts(t *testing.T) {
 				code = append(code, fmt.Sprintf("%d %s", i, spec))
 			}
 			return doc, code
-		}},
-		{"multicore-rejected-features", "MULTICORE.md", func(t *testing.T) (doc, code []string) {
-			_, rows := docSection(t, "MULTICORE.md", "Configuration surface")
-			for name, enable := range rejectedFeatures {
-				cfg := sim.DefaultConfig()
-				cfg.MaxInstructions = 1000
-				enable(&cfg)
-				if _, err := sim.RunMulti(cfg, build("mcf", 1)); errors.Is(err, ErrBadConfig) {
-					code = append(code, name)
-				} else {
-					t.Errorf("feature %q: multicore run returned %v, want ErrBadConfig", name, err)
-				}
-			}
-			return keys(rows, 1), code
 		}},
 		{"multicore-phrases", "MULTICORE.md", func(t *testing.T) (doc, code []string) {
 			return phrases(t, "MULTICORE.md", []sectionPhrases{

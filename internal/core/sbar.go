@@ -291,12 +291,14 @@ func (s *SBAR) AdvanceEpoch() {
 	clear(s.pending)
 }
 
-// UsingLIN implements Hybrid.
+// UsingLIN implements Hybrid: leader sets always run LIN, and follower
+// sets report thread 0's counter, the one PselValue reports, so the two
+// describe one selector however many threads share the L2.
 func (s *SBAR) UsingLIN(set int) bool {
 	if _, leader := s.sel.Slot(set); leader {
 		return true
 	}
-	return s.psels[s.cur].MSB()
+	return s.psels[0].MSB()
 }
 
 // Psel exposes the selector counter for tests and telemetry (thread 0's

@@ -79,6 +79,25 @@ func TestSBARFollowersObeyPSEL(t *testing.T) {
 	}
 }
 
+// TestSBARUsingLINReadsThreadZero partitions the selector over two
+// threads that disagree: whichever thread last touched the L2, a
+// follower set reports thread 0's counter, the one PselValue reports.
+func TestSBARUsingLINReadsThreadZero(t *testing.T) {
+	h := newSBARHarness(t, SBARConfig{LeaderSets: 2, Lambda: 4, Threads: 2}, 4, 2)
+	h.sbar.PselFor(0).Add(-100)
+	h.sbar.PselFor(1).Add(100)
+	for tid := range 2 {
+		h.sbar.SetThread(tid)
+		if h.sbar.UsingLIN(1) {
+			t.Errorf("after SetThread(%d), follower set 1 reports LIN; thread 0's counter %d selects LRU",
+				tid, h.sbar.PselValue(1))
+		}
+		if !h.sbar.UsingLIN(0) {
+			t.Errorf("after SetThread(%d), leader set 0 does not report LIN", tid)
+		}
+	}
+}
+
 func TestSBARDecrementRule(t *testing.T) {
 	// Figure 6: leader (LIN) miss + ATD-LRU hit → PSEL -= cost_q of the
 	// miss, applied when the miss is serviced.

@@ -42,17 +42,6 @@ func (r Result) Metrics() *metrics.Registry {
 	r.L1.Observe(reg, "cache.l1")
 	reg.Counter("cache.l1.writeback_drop", "evictions", "dirty L1 evictions whose block was absent from L2").Add(r.Mem.L1WritebackDrops)
 	r.MSHR.Observe(reg)
-
-	// Interval time series (SampleInterval runs only).
-	if r.Series != nil {
-		s := r.Series
-		reg.AttachSeries("interval.ipc", "ipc", "per-interval IPC (Figure 11)", &s.IPC)
-		reg.AttachSeries("interval.mpki", "mpki", "per-interval L2 demand MPKI", &s.MPKI)
-		reg.AttachSeries("interval.avg_cost_q", "cost_q", "per-interval mean quantized cost", &s.AvgCostQ)
-		reg.AttachSeries("interval.using_lin", "boolean", "1 when LIN was selected at the boundary", &s.UsingLIN)
-		reg.AttachSeries("psel.value", "counter", "selector counter at interval boundaries", &s.PselValue)
-		reg.AttachSeries("mshr.occupancy", "entries", "miss-file occupancy at interval boundaries", &s.MSHROccupancy)
-	}
 	return reg
 }
 
@@ -66,7 +55,7 @@ func (r Result) chip() chip {
 	return chip{
 		policy: r.Policy, instructions: r.Instructions, cycles: r.Cycles, ipc: r.IPC,
 		l2: r.L2, dram: r.DRAM, mem: r.Mem, avgCostQ: r.AvgCostQ(), costHist: r.CostHist, delta: r.Delta,
-		hybrid: r.Hybrid, learn: r.Learn, audit: r.Audit,
+		hybrid: r.Hybrid, learn: r.Learn, series: r.Series, audit: r.Audit,
 	}
 }
 
@@ -87,6 +76,7 @@ type chip struct {
 	delta        DeltaStats
 	hybrid       *core.HybridStats
 	learn        *learn.Stats
+	series       *SeriesSet
 	audit        *audit.Report
 }
 
@@ -105,8 +95,8 @@ func (c chip) header(bench string, seed uint64) metrics.RunHeader {
 
 // observe registers the chip-wide families: run totals, the L2 and
 // memory-side aggregates, cost and delta accounting, DRAM, the
-// prefetch counters, and the hybrid, learned and audit families when
-// the run produced them.
+// prefetch counters, and the hybrid, learned, interval and audit
+// families when the run produced them.
 func (c chip) observe(reg *metrics.Registry) {
 	// Run totals.
 	reg.Counter("run.instructions", "instructions", "instructions retired").Add(c.instructions)
@@ -174,6 +164,16 @@ func (c chip) observe(reg *metrics.Registry) {
 		reg.Gauge("learn.weight.scatter", "weight", "final random-LRU-half arm weight").Set(s.WeightScatter)
 		reg.Counter("learn.fills.trained", "fills", "fills whose signature the model had trained").Add(s.TrainedFills)
 		reg.Counter("learn.fills.untrained", "fills", "fills whose signature the model had never seen").Add(s.UntrainedFills)
+	}
+
+	// Interval time series (SampleInterval runs only).
+	if s := c.series; s != nil {
+		reg.AttachSeries("interval.ipc", "ipc", "per-interval IPC (Figure 11)", &s.IPC)
+		reg.AttachSeries("interval.mpki", "mpki", "per-interval L2 demand MPKI", &s.MPKI)
+		reg.AttachSeries("interval.avg_cost_q", "cost_q", "per-interval mean quantized cost", &s.AvgCostQ)
+		reg.AttachSeries("interval.using_lin", "boolean", "1 when LIN was selected at the boundary", &s.UsingLIN)
+		reg.AttachSeries("psel.value", "counter", "selector counter at interval boundaries", &s.PselValue)
+		reg.AttachSeries("mshr.occupancy", "entries", "miss-file occupancy at interval boundaries", &s.MSHROccupancy)
 	}
 
 	// Invariant auditor (audited runs only).

@@ -9,11 +9,11 @@ import (
 // Metrics exports a multi-core result as a metrics registry under the
 // names catalogued in docs/OBSERVABILITY.md: the chip-wide families a
 // single-core Result exports too (chip.observe: run.*, cache.l2.*,
-// cost_q.*, delta.*, dram.*, prefetch.*, hybrid/psel, learn.*, audit.*), the
-// multicore.* run shape, and one core.<i>.* group per core. Per-core
-// L1, CPU and branch-predictor detail stays in the CoreResult structs;
-// the registry carries each core's headline counters so dashboards can
-// see who is suffering under contention.
+// cost_q.*, delta.*, dram.*, prefetch.*, hybrid/psel, learn.*,
+// interval.*, audit.*), the multicore.* run shape, and one core.<i>.*
+// group per core. Per-core L1, CPU and branch-predictor detail stays in
+// the CoreResult structs; the registry carries each core's headline
+// counters so dashboards can see who is suffering under contention.
 func (r MultiResult) Metrics() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	r.chip().observe(reg)
@@ -54,6 +54,6 @@ func (r MultiResult) chip() chip {
 	return chip{
 		policy: r.Policy, instructions: r.Instructions(), cycles: r.Cycles, ipc: r.IPC(),
 		l2: r.L2, dram: r.DRAM, mem: r.Mem, avgCostQ: r.AvgCostQ(), costHist: r.CostHist, delta: r.Delta,
-		hybrid: r.Hybrid, learn: r.Learn, audit: r.Audit,
+		hybrid: r.Hybrid, learn: r.Learn, series: r.Series, audit: r.Audit,
 	}
 }
