@@ -355,7 +355,8 @@ func (m *MSHR) Cost(block uint64, cycle uint64) (cost float64, ok bool) {
 // than the current clock, and cost is conserved: the cost Free has
 // returned plus the outstanding demand entries' cost so far equals the
 // busy cycles, to a relative 1e-9. The time-shared-adder approximation
-// is exempt from conservation.
+// is exempt from conservation; in that mode every valid entry's cost
+// accumulator must be finite and non-negative instead.
 func (m *MSHR) AuditInvariants() []string {
 	var out []string
 	valid := 0
@@ -379,6 +380,10 @@ func (m *MSHR) AuditInvariants() []string {
 		}
 		if m.Exact() && e.demand && e.base > m.clock {
 			out = append(out, fmt.Sprintf("demand block %#x clock base %v ahead of clock %v", e.block, e.base, m.clock))
+		}
+		// Negated, so a NaN cost is a violation too.
+		if !m.Exact() && !(e.cost >= 0 && e.cost <= math.MaxFloat64) {
+			out = append(out, fmt.Sprintf("block %#x cost %v not finite and non-negative", e.block, e.cost))
 		}
 	}
 	if m.index.Len() != valid {

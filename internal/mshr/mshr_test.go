@@ -314,6 +314,29 @@ func TestAuditNamesCostNotConserved(t *testing.T) {
 	}
 }
 
+// TestAuditNamesBadAdderCost corrupts one adder-mode entry's cost
+// accumulator to NaN, a negative and an infinite value: each must give
+// exactly one violation naming the block.
+func TestAuditNamesBadAdderCost(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1)} {
+		m := New(Config{Entries: 4, Adders: 2})
+		m.Allocate(1, true, 0)
+		m.Allocate(2, true, 0)
+		for cycle := uint64(1); cycle <= 50; cycle++ {
+			m.Tick(cycle)
+		}
+		if v := m.AuditInvariants(); len(v) != 0 {
+			t.Fatalf("intact file reports %v", v)
+		}
+		i, _ := m.index.Get(2)
+		m.entries[i].cost = bad
+		v := m.AuditInvariants()
+		if len(v) != 1 || !strings.Contains(v[0], "block 0x2 cost") || !strings.Contains(v[0], "not finite and non-negative") {
+			t.Errorf("cost %v: audit reports %q, want one violation naming block 0x2", bad, v)
+		}
+	}
+}
+
 // The 4-adder time-shared approximation must track the exact computation
 // closely (the paper reports a negligible difference).
 func TestAdderSharingApproximation(t *testing.T) {
