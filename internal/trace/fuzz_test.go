@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"testing"
 
 	"mlpcache/internal/simerr"
@@ -152,7 +151,7 @@ func FuzzReadBatch(f *testing.F) {
 	// Chunks and batches longer than the rewrite window.
 	f.Add([]byte{0, 5, 1, 1, 200, 1, 1, 3, 7, 208, 200, 1, 1, 0, 7, 208, 254, 254, 254, 254, 254, 254, 254, 254})
 	f.Add([]byte{1, 6, 1, 1, 0, 1, 150, 3, 7, 208, 0, 1, 140, 1, 7, 208, 254, 254, 254, 254, 254, 254, 254, 254})
-	// Three-part Mixes whose middle part weighs NaN (253) or +Inf (254).
+	// Three-part Mixes whose middle part weighs 3 and 4.
 	f.Add([]byte{0, 9, 1, 2, 0, 1, 0, 1, 7, 208, 0, 253, 0, 0, 7, 208, 0, 1, 0, 3, 7, 208, 64, 1, 33, 200, 17, 2})
 	f.Add([]byte{0, 9, 1, 2, 0, 1, 0, 1, 7, 208, 0, 254, 0, 0, 7, 208, 0, 1, 0, 3, 7, 208, 64, 1, 33, 200, 17, 2})
 
@@ -244,21 +243,6 @@ type fuzzKid struct {
 	len    int
 }
 
-// fuzzWeight maps a weight byte to a fuzzed part's Mix weight: the byte
-// mod 5, except that two rare bytes give a NaN and a +Inf weight. NewMix
-// takes either as given, and a live sum of either sends every draw to
-// the last live part, so they stay rare and leave most inputs drawing
-// by weight.
-func fuzzWeight(b int) float64 {
-	switch b {
-	case 253:
-		return math.NaN()
-	case 254:
-		return math.Inf(1)
-	}
-	return float64(b % 5)
-}
-
 func readShape(in *fuzzInput, depth int) *fuzzNode {
 	nd := &fuzzNode{phases: in.next()%2 == 1, seed: uint64(in.next())}
 	if b := in.next(); b%3 == 0 {
@@ -267,8 +251,8 @@ func readShape(in *fuzzInput, depth int) *fuzzNode {
 	kids := 1 + in.next()%4
 	for i := 0; i < kids; i++ {
 		k := fuzzKid{
-			chunk:  2 * in.next(), // zero: Mix's default chunk of 1
-			weight: fuzzWeight(in.next()),
+			chunk:  2 * in.next(),          // zero: Mix's default chunk of 1
+			weight: float64(in.next() % 5), // zero: Mix's default weight of 1
 			len:    1 + 2*in.next(),
 			seed:   uint64(i + 1),
 		}

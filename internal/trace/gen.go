@@ -1,6 +1,10 @@
 package trace
 
-import "mlpcache/internal/simerr"
+import (
+	"math"
+
+	"mlpcache/internal/simerr"
+)
 
 // This file implements the workload generator combinators. Each generator
 // produces an unbounded instruction stream; internal/workload composes them
@@ -556,10 +560,9 @@ func (v *interleaver) resum() {
 // draw picks the next chunk's part among those not done, by weight: one
 // Float64 per chunk, scaled by the live sum, with the weights subtracted
 // in part order. A done part subtracts 0, and the running value never
-// rises, so the parts after which it is not below 0 (a NaN is not) form
-// a prefix; the part after them is the one drawn. When the value passes
-// every part (floating-point slack, or a NaN or infinite weight), the
-// last live part is taken.
+// rises, so the parts after which it is not below 0 form a prefix; the
+// part after them is the one drawn. When the value passes every part
+// (floating-point slack), the last live part is taken.
 func (v *interleaver) draw() int {
 	x := v.rng.Float64() * v.live
 	i := 0
@@ -599,8 +602,11 @@ type MixPart struct {
 }
 
 // NewMix interleaves the parts, selecting a part for each chunk with
-// probability proportional to its weight. Dependences inside each part are
-// preserved across the interleave.
+// probability proportional to its weight; a weight of 0 or less counts
+// as 1. Dependences inside each part are preserved across the
+// interleave. Weights whose sum is not finite (a NaN or +Inf weight, or
+// finite weights that overflow) panic with simerr.ErrBadConfig: every
+// draw would fall to the last part.
 func NewMix(seed uint64, parts ...MixPart) Source {
 	if len(parts) == 0 {
 		panic(simerr.New(simerr.ErrBadConfig, "trace: Mix needs at least one part"))
@@ -613,6 +619,9 @@ func NewMix(seed uint64, parts ...MixPart) Source {
 		}
 	}
 	v.resum()
+	if math.IsNaN(v.live) || math.IsInf(v.live, 0) {
+		panic(simerr.New(simerr.ErrBadConfig, "trace: Mix weights must sum to a finite value, got %v", v.live))
+	}
 	v.refill = v.readAhead
 	return v
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -186,26 +185,6 @@ func goldenStreams() []goldenStream {
 				trace.Phase{Src: stream(300, 49), Len: 1},
 				trace.Phase{Src: slice(200, 50), Len: 2},
 				trace.Phase{Src: twoPass(64, 51), Len: 1})
-		}},
-		// Weights NewMix takes as given: a NaN or an infinite live sum
-		// leaves every draw to the last live part.
-		goldenStream{name: "mix/nan-weight", n: 30_000, build: func() trace.Source {
-			return trace.NewMix(52,
-				trace.MixPart{Src: chase(10_000, 53), Weight: 1},
-				trace.MixPart{Src: stream(10_000, 54), Weight: math.NaN(), Chunk: 3},
-				trace.MixPart{Src: slice(10_000, 55), Weight: 2})
-		}},
-		goldenStream{name: "mix/inf-weight", n: 30_000, build: func() trace.Source {
-			return trace.NewMix(56,
-				trace.MixPart{Src: chase(10_000, 57), Weight: 1},
-				trace.MixPart{Src: stream(10_000, 58), Weight: math.Inf(1), Chunk: 3},
-				trace.MixPart{Src: slice(10_000, 59), Weight: 2})
-		}},
-		goldenStream{name: "mix/overflowing-weights", n: 30_000, build: func() trace.Source {
-			return trace.NewMix(60,
-				trace.MixPart{Src: chase(10_000, 61), Weight: math.MaxFloat64},
-				trace.MixPart{Src: stream(10_000, 62), Weight: math.MaxFloat64, Chunk: 3},
-				trace.MixPart{Src: slice(10_000, 63), Weight: 1})
 		}},
 	)
 	return append(streams, nested...)
