@@ -479,9 +479,6 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	return dirty, true
 }
 
-// ResetStats zeroes the access counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Reset returns the cache to its just-built state in place: every line
 // invalidated, the counters and the recency/fill sequence zeroed, and
 // the given replacement policy installed (nil installs plain LRU, the

@@ -442,10 +442,6 @@ func TestAccessorsAndStats(t *testing.T) {
 	if st.Accesses() != 2 || st.MissRate() != 0.5 {
 		t.Fatalf("stats %+v", st)
 	}
-	c.ResetStats()
-	if c.Stats().Accesses() != 0 {
-		t.Fatal("ResetStats failed")
-	}
 	if c.Policy().Name() != "lru" {
 		t.Fatal("Policy accessor wrong")
 	}

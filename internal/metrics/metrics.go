@@ -56,9 +56,6 @@ type Counter struct{ v uint64 }
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.v += n }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 

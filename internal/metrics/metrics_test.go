@@ -15,7 +15,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cache.l2.demand_miss", "misses", "demand misses")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)

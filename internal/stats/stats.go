@@ -1,7 +1,7 @@
 // Package stats provides the small statistical containers the simulator
 // and the experiment harness share: fixed-bin histograms (the paper's
-// 60-cycle mlp-cost bins), online means, and instruction-indexed time
-// series (Figure 11).
+// 60-cycle mlp-cost bins) and instruction-indexed time series
+// (Figure 11).
 package stats
 
 import (
@@ -121,29 +121,6 @@ func (h *Histogram) Sparkline() string {
 	return b.String()
 }
 
-// Mean accumulates an online arithmetic mean.
-type Mean struct {
-	n   uint64
-	sum float64
-}
-
-// Add records one sample.
-func (m *Mean) Add(v float64) { m.n++; m.sum += v }
-
-// N returns the number of samples.
-func (m *Mean) N() uint64 { return m.n }
-
-// Value returns the mean (0 if empty).
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Reset discards all samples.
-func (m *Mean) Reset() { m.n = 0; m.sum = 0 }
-
 // Point is one sample of a time series, indexed by retired instructions.
 type Point struct {
 	Instructions uint64
@@ -161,15 +138,6 @@ func (s *Series) Add(instructions uint64, value float64) {
 	s.Points = append(s.Points, Point{Instructions: instructions, Value: value})
 }
 
-// Values returns just the values, in order.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Value
-	}
-	return out
-}
-
 // Len returns the number of points in the series.
 func (s *Series) Len() int { return len(s.Points) }
 
@@ -177,22 +145,4 @@ func (s *Series) Len() int { return len(s.Points) }
 func (s *Series) At(i int) (uint64, float64) {
 	p := s.Points[i]
 	return p.Instructions, p.Value
-}
-
-// MinMax returns the extremes of the series values; ok is false if the
-// series is empty.
-func (s *Series) MinMax() (min, max float64, ok bool) {
-	if len(s.Points) == 0 {
-		return 0, 0, false
-	}
-	min, max = s.Points[0].Value, s.Points[0].Value
-	for _, p := range s.Points[1:] {
-		if p.Value < min {
-			min = p.Value
-		}
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	return min, max, true
 }

@@ -148,50 +148,6 @@ func TestHistogramPanicsOnBadArgs(t *testing.T) {
 	NewHistogram(0, 8)
 }
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	m.Add(2)
-	m.Add(4)
-	if m.Value() != 3 || m.N() != 2 {
-		t.Fatalf("mean=%v n=%d", m.Value(), m.N())
-	}
-	m.Reset()
-	if m.N() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if _, _, ok := s.MinMax(); ok {
-		t.Fatal("empty series MinMax should report !ok")
-	}
-	s.Add(100, 1.5)
-	s.Add(200, 0.5)
-	s.Add(300, 2.5)
-	min, max, ok := s.MinMax()
-	if !ok || min != 0.5 || max != 2.5 {
-		t.Fatalf("MinMax = %v %v %v", min, max, ok)
-	}
-	vals := s.Values()
-	if len(vals) != 3 || vals[1] != 0.5 {
-		t.Fatalf("Values = %v", vals)
-	}
-}
-
-func TestSeriesSinglePoint(t *testing.T) {
-	// With one point, min and max coincide on it.
-	var s Series
-	s.Add(100, 1.25)
-	min, max, ok := s.MinMax()
-	if !ok || min != 1.25 || max != 1.25 {
-		t.Fatalf("single-point MinMax = %v %v %v, want 1.25 1.25 true", min, max, ok)
-	}
-}
-
 func TestSeriesLenAt(t *testing.T) {
 	// Len/At are the SeriesSource view the metrics registry snapshots.
 	var s Series

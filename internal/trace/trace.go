@@ -194,17 +194,3 @@ func (c *Concat) Next() (Instr, bool) {
 	}
 	return Instr{}, false
 }
-
-// Addresses returns the sequence of data-memory block numbers touched by
-// the instructions, using the given block size in bytes. It is the access
-// stream a cache at that block granularity observes, and is what the
-// offline Belady/OPT analysis consumes.
-func Addresses(instrs []Instr, blockBytes uint64) []uint64 {
-	var out []uint64
-	for _, in := range instrs {
-		if in.Kind.IsMem() {
-			out = append(out, in.Addr/blockBytes)
-		}
-	}
-	return out
-}

@@ -124,25 +124,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestAddresses(t *testing.T) {
-	ins := []Instr{
-		{Kind: Load, Addr: 0},
-		{Kind: Int},
-		{Kind: Store, Addr: 65},
-		{Kind: Load, Addr: 128},
-	}
-	got := Addresses(ins, 64)
-	want := []uint64{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {
