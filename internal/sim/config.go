@@ -251,7 +251,8 @@ type Config struct {
 	// MaxInstructions bounds the run (0: until the source drains).
 	MaxInstructions uint64
 	// SampleInterval, when non-zero, records the Figure 11 time series
-	// every that many retired instructions.
+	// every that many retired instructions; on several cores they are
+	// counted over all cores and the series is chip-wide.
 	SampleInterval uint64
 	// SnapshotInterval, when non-zero and Trace is set, emits the
 	// snapshot.* gauge family through the tracer every that many
@@ -260,8 +261,8 @@ type Config struct {
 	// cost-histogram bins — time-resolved curves in the event stream
 	// instead of end-of-run aggregates (docs/OBSERVABILITY.md). On
 	// several cores every gauge is chip-wide and carries tid 0. Its
-	// accounting is independent of SampleInterval; with a nil Trace it
-	// is a no-op.
+	// period is independent of SampleInterval; with a nil Trace it is a
+	// no-op.
 	SnapshotInterval uint64
 	// EpochInstructions is the rand-dynamic leader reselection period
 	// (the paper uses 25M; scaled runs use less). 0 disables epochs.
