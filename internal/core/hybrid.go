@@ -29,7 +29,9 @@ type Hybrid interface {
 	// AdvanceEpoch gives runtime selection policies (rand-dynamic
 	// leaders) a chance to re-draw; called every epoch boundary.
 	AdvanceEpoch()
-	// UsingLIN reports the policy currently selected for the given set.
+	// UsingLIN reports whether the given set currently runs LIN, for
+	// the Figure 11 series: SBAR's leader sets always do, and every
+	// other set follows the counter PselValue reads.
 	UsingLIN(set int) bool
 	// Stats returns the selection counters.
 	Stats() HybridStats
