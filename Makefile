@@ -53,8 +53,9 @@ bench:
 # learned-eviction and arena benchmarks, and the per-layer
 # microbenchmarks (the core's BenchmarkWindow, the L2 tag store and
 # policies' BenchmarkL2Access, each model's instruction supply in
-# BenchmarkSupply, the MSHR cost paths in BenchmarkMSHR), once each
-# and fails if any stops being selected — a renamed or deleted
+# BenchmarkSupply, the MSHR cost paths in BenchmarkMSHR, the fill heap's
+# BenchmarkFillHeap, the DRAM model's BenchmarkDRAM and the block table's
+# BenchmarkPutGetDelete), once each and fails if any stops being selected — a renamed or deleted
 # benchmark silently vanishes from `go test -bench`, so the output is
 # grepped for each name.
 bench-smoke:
@@ -83,6 +84,15 @@ bench-smoke:
 	for name in BenchmarkMSHR/exact BenchmarkMSHR/adders; do \
 		echo "$$out" | grep -q "$$name" || { echo "bench-smoke: $$name missing from benchmark output" >&2; exit 1; }; \
 	done
+	@out="$$($(GO) test -bench 'BenchmarkFillHeap' -benchtime 1x -run '^$$' ./internal/sim)"; \
+	echo "$$out"; \
+	echo "$$out" | grep -q "BenchmarkFillHeap" || { echo "bench-smoke: BenchmarkFillHeap missing from benchmark output" >&2; exit 1; }
+	@out="$$($(GO) test -bench 'BenchmarkDRAM' -benchtime 1x -run '^$$' ./internal/dram)"; \
+	echo "$$out"; \
+	echo "$$out" | grep -q "BenchmarkDRAM" || { echo "bench-smoke: BenchmarkDRAM missing from benchmark output" >&2; exit 1; }
+	@out="$$($(GO) test -bench 'BenchmarkPutGetDelete' -benchtime 1x -run '^$$' ./internal/blockmap)"; \
+	echo "$$out"; \
+	echo "$$out" | grep -q "BenchmarkPutGetDelete" || { echo "bench-smoke: BenchmarkPutGetDelete missing from benchmark output" >&2; exit 1; }
 
 # bench-check runs one pass of every repository-benchmark workload
 # (bench/README.md) at seed 42 and fails unless the final aggregate line

@@ -224,6 +224,17 @@ func TestCLIEndToEnd(t *testing.T) {
 		}
 	})
 
+	t.Run("mlpsim-sub-cycle-interval-fails", func(t *testing.T) {
+		// One cycle retires up to 8 instructions on the default core, so
+		// a 2-instruction interval would close repeated points on one
+		// instruction count: the run is refused with the bound named.
+		out := mustFailCleanly(t, "mlpsim", "-bench", "twolf", "-policy", "lru",
+			"-series", "-interval", "2", "-n", "2000", "-hist=false")
+		if !strings.Contains(out, "invalid configuration") || !strings.Contains(out, "RetireWidth × cores = 8") {
+			t.Fatalf("diagnostic is not the config error naming the bound:\n%s", out)
+		}
+	})
+
 	t.Run("mlpsim-multicore-audited-run", func(t *testing.T) {
 		// Four cores on the one cycle loop keep the paper's invariants:
 		// every core's recency stacks, MSHR files and per-thread PSEL.

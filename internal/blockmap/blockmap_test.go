@@ -104,6 +104,7 @@ func TestFixedPopulationNeverGrows(t *testing.T) {
 func BenchmarkPutGetDelete(b *testing.B) {
 	tab := New[int](32)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		block := uint64(i) & 1023
 		tab.Put(block, i)

@@ -13,19 +13,26 @@
 //
 // Issue is event driven, so a cycle costs the work that happens in it,
 // not the size of the window. Each window entry is linked at fetch onto
-// its producer's consumer list unless its operand is already available;
-// a completion wakes the consumers when its cycle arrives; and issue
-// visits only the ready entries, oldest first, through a one-bit-per-slot
-// ready bitmap. A window stalled on a few chase loads behind completed
-// filler therefore costs nothing per stepped cycle beyond the wake-ups.
+// its producer's consumer list unless its operand is available or due
+// within 63 cycles; the consumers turn ready when the result's cycle
+// arrives; and issue visits only the ready entries, oldest first,
+// through a one-bit-per-slot ready bitmap. A window
+// stalled on a few chase loads behind completed filler therefore costs
+// nothing per stepped cycle beyond the wake-ups.
 // Once a cycle's loads and stores have taken every memory port, the
 // rest of the scan passes over the memory instructions through a second
 // bitmap, of the slots that hold one, so a ready load or store that
 // cannot issue is not visited again until the next cycle. What issue
 // does with an entry is read from a per-kind table built from Config.
-// Completions due within 63 cycles, all but the DRAM fills, wait on a
-// completion wheel: one slot bitmap per cycle modulo 64, so scheduling
-// a result and waking it are a bit each. Later ones wait in a min-heap.
+// Completions due within 63 cycles, all but the DRAM fills, are
+// scheduled on a completion wheel: one slot bitmap per cycle modulo 64,
+// holding the slots that turn ready on that cycle, and one mask bit per
+// bucket marking the cycles a result is due. A completion moves its
+// consumers into its bucket when it issues, a consumer fetched later
+// goes straight there, and the cycle ORs the bucket into the ready
+// bitmap: a result nobody waits on costs its mask bit and nothing else,
+// and there is no wake-up per result. Later ones wait in a min-heap
+// with their consumer lists.
 package cpu
 
 import (
@@ -130,10 +137,9 @@ type Stats struct {
 	MSHRRejects           uint64
 }
 
-const (
-	stWaiting uint8 = iota
-	stDone          // issued; completes when doneAt is reached
-)
+// notIssued is the doneAt of an entry that has yet to issue. No cycle
+// reaches it, so an unissued entry never reads as complete.
+const notIssued = ^uint64(0)
 
 // slotWord holds two bitmaps over 64 window slots. ready has a slot's
 // bit set when its entry is unissued and its operand is available:
@@ -174,9 +180,10 @@ func kindOps(cfg Config) (ops [256]kindOp) {
 }
 
 type robEntry struct {
-	in     trace.Instr
+	in trace.Instr
+	// doneAt is the cycle the entry's result is available once it has
+	// issued, and notIssued before.
 	doneAt uint64
-	state  uint8
 	// mispredicted records the branch's fate as decided at fetch
 	// (oracle flag or live predictor), for retirement statistics.
 	mispredicted bool
@@ -229,14 +236,16 @@ type CPU struct {
 	predictor *bpred.Predictor
 
 	// The completions still in flight are the entries whose doneAt lies
-	// after lastNow, the last cycle run. They wake their consumers when
+	// after lastNow, the last cycle run. Their consumers turn ready when
 	// that cycle arrives, and the earliest one bounds a run loop's skip.
-	// One due at most wheelSize-1 cycles out sets its slot's bit in the
-	// wheel bucket for doneAt mod wheelSize (len(slots) words per bucket,
-	// bucket b at wheel[b*len(slots):]), and wheelMask has bit b set
-	// while bucket b is non-empty. Every wheel entry lies within
+	// One due at most wheelSize-1 cycles out sets bit b = doneAt mod
+	// wheelSize of wheelMask and puts its consumers' slot bits in wheel
+	// bucket b (len(slots) words per bucket, bucket b at
+	// wheel[b*len(slots):]), so a bucket holds the slots that turn ready
+	// on its cycle. wheelMask has bit b set while a result or a slot is
+	// due on bucket b's cycle. Every marked cycle lies within
 	// wheelSize-1 cycles after lastNow, so no bucket holds two cycles.
-	// Completions due later wait in far.
+	// Completions due later wait in far with their consumer lists.
 	wheel     []uint64
 	wheelMask uint64
 	far       completionHeap
@@ -254,9 +263,10 @@ type CPU struct {
 
 // completion is an in-flight result on the far heap: the ROB slot that
 // produces it and the cycle it becomes available. A slot cannot be
-// refilled while its completion is in flight, on the wheel or the heap:
-// retiring the entry needs doneAt <= now, and the same cycle's issue
-// stage wakes every such completion before fetch reuses a slot.
+// refilled while it waits in a wheel bucket, since it has yet to issue,
+// or while its completion waits on the heap: retiring the entry needs
+// doneAt <= now, and the same cycle's issue stage pops every such
+// completion before fetch reuses a slot.
 type completion struct {
 	at   uint64
 	slot int
@@ -428,16 +438,26 @@ func (c *CPU) nextReady(from, to int, skip uint64) int {
 	return to
 }
 
-// link decides at fetch whether the entry in slot s (global index g) can
-// issue: at once if it has no dependence, its producer precedes the
-// stream or has retired, or its producer's result is available by now;
-// otherwise it joins the producer's consumer list and waits for the
-// producer's completion to wake it.
+// link decides at fetch when the entry in slot s (global index g), which
+// has a dependence, can issue. It is ready at once if its producer
+// precedes the stream, has retired or has its result by now. If the
+// producer's result is due within wheelSize-1 cycles, the entry goes in
+// that cycle's wheel bucket. Otherwise, the producer not yet issued or
+// waiting on the far heap, it joins the producer's consumer list, which
+// the producer's completion moves into a bucket or wakes. A far
+// producer can so have consumers in a bucket as well as on its list;
+// the heap's top already bounds NextEvent, so that bucket's mask bit
+// moves nothing there.
 func (c *CPU) link(s int, g uint64, now uint64) {
-	if dep := c.rob[s].in.Dep; dep > 0 && uint64(dep) <= g {
-		if prodG := g - uint64(dep); prodG >= c.headG {
+	if dep := uint64(c.rob[s].in.Dep); dep <= g {
+		if prodG := g - dep; prodG >= c.headG {
 			p := &c.rob[c.slot(prodG)]
-			if p.state != stDone || p.doneAt > now {
+			switch {
+			case p.doneAt <= now:
+			case p.doneAt-now < wheelSize:
+				c.readyAt(s, p.doneAt)
+				return
+			default:
 				c.rob[s].nextConsumer = p.firstConsumer
 				p.firstConsumer = int32(s)
 				return
@@ -445,6 +465,14 @@ func (c *CPU) link(s int, g uint64, now uint64) {
 		}
 	}
 	c.setReady(s)
+}
+
+// readyAt puts slot s in the wheel bucket of cycle at, at most
+// wheelSize-1 cycles after lastNow, so it turns ready on that cycle.
+func (c *CPU) readyAt(s int, at uint64) {
+	b := int(at % wheelSize)
+	c.wheel[b*len(c.slots)+s>>6] |= 1 << (s & 63)
+	c.wheelMask |= 1 << b
 }
 
 // wake marks every consumer of the entry in slot s ready.
@@ -504,8 +532,9 @@ func (c *CPU) DidWork() bool { return c.didWork }
 // nothing another core or the memory side does can change this core's
 // state before that cycle. now is the cycle last passed to Cycle, which
 // left only completions after now in flight. The earliest completion is
-// the first non-empty wheel bucket after that cycle, found with one
-// rotate of wheelMask, or the far heap's top if that comes first.
+// the first wheelMask bucket after that cycle, found with one rotate,
+// or the far heap's top if that comes first. A bucket marked for the
+// consumers of a far completion never comes before the heap's top.
 func (c *CPU) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
 	if c.wheelMask != 0 {
@@ -530,7 +559,7 @@ func (c *CPU) retire(now uint64) int {
 	retired := 0
 	for retired < c.cfg.RetireWidth && c.count > 0 {
 		e := &c.rob[c.head]
-		if e.state != stDone || e.doneAt > now {
+		if e.doneAt > now {
 			break
 		}
 		c.retiredKind[e.in.Kind&7]++
@@ -547,7 +576,7 @@ func (c *CPU) retire(now uint64) int {
 	}
 	if retired == 0 && c.count > 0 {
 		e := &c.rob[c.head]
-		if e.in.Kind.IsMem() && (e.state != stDone || e.doneAt > now) {
+		if e.in.Kind.IsMem() && e.doneAt > now {
 			c.stats.MemStallCycles++
 			if !c.inMemStall {
 				c.inMemStall = true
@@ -572,10 +601,11 @@ func (c *CPU) drainStores(now uint64) {
 	c.storeDone = out
 }
 
-// wakeDue wakes the consumers of every completion due by now: the wheel
-// buckets of the cycles in (lastNow, now], all of them after a skip of
-// wheelSize cycles or more, then the far completions that have arrived.
-// Wake order does not matter, since a wake only sets ready bits.
+// wakeDue marks ready every slot whose operand is available by now: it
+// ORs into the ready bitmap the wheel buckets of the cycles in
+// (lastNow, now], all of them after a skip of wheelSize cycles or more,
+// then wakes the consumers of the far completions that have arrived.
+// Order does not matter, since both only set ready bits.
 func (c *CPU) wakeDue(now uint64) {
 	if due := c.wheelMask; due != 0 {
 		if span := now - c.lastNow; span < wheelSize {
@@ -585,10 +615,8 @@ func (c *CPU) wakeDue(now uint64) {
 		for ; due != 0; due &= due - 1 {
 			bucket := c.wheel[bits.TrailingZeros64(due)*len(c.slots):][:len(c.slots)]
 			for i, w := range bucket {
+				c.slots[i].ready |= w
 				bucket[i] = 0
-				for ; w != 0; w &= w - 1 {
-					c.wake(i<<6 | bits.TrailingZeros64(w))
-				}
 			}
 		}
 	}
@@ -681,12 +709,12 @@ func (c *CPU) issue(now uint64) {
 // complete issues the entry in slot s with its result available at
 // doneAt. A result available already (zero latency) wakes the consumers
 // at once, so younger entries still to be visited in this scan see it.
-// A later one goes on the wheel, or on the far heap when it is due
-// wheelSize or more cycles out; now is lastNow here, as issue has run
-// wakeDue.
+// A later one due within wheelSize-1 cycles sets its bucket's mask bit
+// and moves its consumers into the bucket, so a result nobody waits on
+// costs the one bit; one due later goes on the far heap and keeps its
+// consumer list. now is lastNow here, as issue has run wakeDue.
 func (c *CPU) complete(s int, doneAt, now uint64) {
 	e := &c.rob[s]
-	e.state = stDone
 	e.doneAt = doneAt
 	c.clearReady(s)
 	c.didWork = true
@@ -694,22 +722,14 @@ func (c *CPU) complete(s int, doneAt, now uint64) {
 	case doneAt <= now:
 		c.wake(s)
 	case doneAt-now < wheelSize:
-		b := int(doneAt % wheelSize)
-		c.wheel[b*len(c.slots)+s>>6] |= 1 << (s & 63)
-		c.wheelMask |= 1 << b
+		c.wheelMask |= 1 << (doneAt % wheelSize)
+		for k := e.firstConsumer; k >= 0; k = c.rob[k].nextConsumer {
+			c.readyAt(int(k), doneAt)
+		}
+		e.firstConsumer = -1
 	default:
 		c.far.push(completion{at: doneAt, slot: s})
 	}
-}
-
-// branchMispredicted decides a fetched branch's fate: a live predictor
-// consults and trains on the branch's id and outcome; oracle mode obeys
-// the trace's flag.
-func (c *CPU) branchMispredicted(in trace.Instr) bool {
-	if c.predictor != nil {
-		return !c.predictor.PredictAndUpdate(in.Addr, in.Taken)
-	}
-	return in.Mispredict
 }
 
 func (c *CPU) fetch(now uint64) {
@@ -729,7 +749,10 @@ func (c *CPU) fetch(now uint64) {
 	if slot >= len(c.rob) {
 		slot -= len(c.rob)
 	}
-	for f := 0; f < c.cfg.FetchWidth && c.count < len(c.rob) && !c.srcDone; f++ {
+	if c.srcDone {
+		return
+	}
+	for range min(c.cfg.FetchWidth, len(c.rob)-c.count) {
 		if c.fetchPos == len(c.fetched) {
 			// A short refill still holds instructions to fetch; only an
 			// empty one ends the stream.
@@ -742,7 +765,13 @@ func (c *CPU) fetch(now uint64) {
 		}
 		in := c.fetched[c.fetchPos]
 		c.fetchPos++
-		mispredicted := in.Kind == trace.Branch && c.branchMispredicted(in)
+		// A branch's fate: the trace's flag in oracle mode, tested
+		// before the kind since it is almost always clear, or what a
+		// live predictor makes of the branch's id and outcome.
+		mispredicted := in.Mispredict && in.Kind == trace.Branch
+		if c.predictor != nil && in.Kind == trace.Branch {
+			mispredicted = !c.predictor.PredictAndUpdate(in.Addr, in.Taken)
+		}
 		w := &c.slots[slot>>6]
 		w.mem = w.mem&^(1<<(slot&63)) | uint64(c.ops[in.Kind].mem)<<(slot&63)
 		// Field by field: a composite literal is built on the stack and
@@ -750,14 +779,17 @@ func (c *CPU) fetch(now uint64) {
 		// defeats store-to-load forwarding.
 		e := &c.rob[slot]
 		e.in = in
-		e.doneAt = 0
-		e.state = stWaiting
+		e.doneAt = notIssued
 		e.mispredicted = mispredicted
 		e.firstConsumer = -1
 		e.nextConsumer = -1
 		g := c.nextG
 		c.count++
-		c.link(slot, g, now)
+		if in.Dep > 0 {
+			c.link(slot, g, now)
+		} else {
+			w.ready |= 1 << (slot & 63)
+		}
 		slot++
 		if slot == len(c.rob) {
 			slot = 0

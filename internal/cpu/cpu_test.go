@@ -31,8 +31,14 @@ func (m *fakeMem) Access(addr uint64, write bool, now uint64) (uint64, bool) {
 // run drives the core to completion and returns total cycles.
 func run(t testing.TB, c *CPU, limit uint64) uint64 {
 	t.Helper()
+	return runFrom(t, c, 1, limit)
+}
+
+// runFrom is run for a core that last ran the cycle before from.
+func runFrom(t testing.TB, c *CPU, from, limit uint64) uint64 {
+	t.Helper()
 	var now uint64
-	for now = 1; now < limit; now++ {
+	for now = from; now < limit; now++ {
 		c.Cycle(now)
 		if c.Finished() {
 			return now
@@ -242,10 +248,11 @@ func TestDepBeyondWindowTreatedAsRetired(t *testing.T) {
 	}
 }
 
-// inFlight counts the completions the core holds: the wheel's set bits
-// plus the far heap's entries.
-func inFlight(c *CPU) int {
-	n := len(c.far)
+// wheelSlots counts the slots waiting on the completion wheel: the
+// consumers of results due within wheelSize-1 cycles, each in the bucket
+// of the cycle it turns ready.
+func wheelSlots(c *CPU) int {
+	n := 0
 	for _, w := range c.wheel {
 		n += bits.OnesCount64(w)
 	}
@@ -253,9 +260,10 @@ func inFlight(c *CPU) int {
 }
 
 // TestCompletionHeapBounded runs a long L1-resident stream, which stalls
-// rarely, through the core: the completion wheel and far heap must hold
-// only in-flight results, never more than the window and store buffer
-// can hold, however long the core goes without idling.
+// rarely, through the core: the wheel must hold only slots waiting on a
+// result in flight and the far heap only results in flight, together
+// never more than the window and store buffer can hold, however long
+// the core goes without idling.
 func TestCompletionHeapBounded(t *testing.T) {
 	const n = 2_000_000
 	cfg := DefaultConfig()
@@ -266,7 +274,7 @@ func TestCompletionHeapBounded(t *testing.T) {
 	bound, peak := cfg.ROBEntries+cfg.StoreBufferEntries, 0
 	for now := uint64(1); !c.Finished(); now++ {
 		c.Cycle(now)
-		peak = max(peak, inFlight(c))
+		peak = max(peak, wheelSlots(c)+len(c.far))
 		if !c.DidWork() {
 			if wake := c.NextEvent(now); wake != ^uint64(0) && wake > now+1 {
 				c.NoteSkipped(wake - now - 1)
@@ -275,11 +283,94 @@ func TestCompletionHeapBounded(t *testing.T) {
 		}
 	}
 	if peak > bound {
-		t.Fatalf("%d completions in flight at peak, bound %d", peak, bound)
+		t.Fatalf("%d slots and completions scheduled at peak, bound %d", peak, bound)
 	}
 	if c.Stats().Retired != n {
 		t.Fatalf("retired %d, want %d", c.Stats().Retired, n)
 	}
+}
+
+// wheelOnly fails the test unless the wheel holds exactly the slots in
+// want, keyed by the cycle whose bucket holds them, and wheelMask marks
+// exactly the buckets in mask.
+func wheelOnly(t *testing.T, c *CPU, want map[uint64][]int, mask uint64) {
+	t.Helper()
+	words := make([]uint64, len(c.wheel))
+	for at, slots := range want {
+		for _, s := range slots {
+			words[int(at%wheelSize)*len(c.slots)+s>>6] |= 1 << (s & 63)
+		}
+	}
+	for b := range wheelSize {
+		for i := range c.slots {
+			if got, w := c.wheel[b*len(c.slots)+i], words[b*len(c.slots)+i]; got != w {
+				t.Fatalf("bucket %d word %d holds %#x, want %#x", b, i, got, w)
+			}
+		}
+	}
+	if c.wheelMask != mask {
+		t.Fatalf("wheelMask %#x, want %#x", c.wheelMask, mask)
+	}
+}
+
+// TestWheelHoldsReadyAtSlots pins what a wheel bucket holds: the slots
+// that turn ready on its cycle, not the producers that complete on it.
+// A result nobody waits on sets its bucket's mask bit and no slot bit; a
+// consumer linked before its producer issues moves into the producer's
+// bucket when it does, and one fetched after goes there at once, also
+// when the producer waits on the far heap.
+func TestWheelHoldsReadyAtSlots(t *testing.T) {
+	t.Run("consumer-less", func(t *testing.T) {
+		c := New(DefaultConfig(), &fakeMem{latency: 2}, trace.NewSliceSource(repeat(trace.Instr{Kind: trace.Mul}, 64)))
+		for now := uint64(1); now <= 6; now++ {
+			c.Cycle(now)
+			if now >= 2 && c.wheelMask == 0 {
+				t.Fatalf("cycle %d: no bucket marked with multiplies in flight", now)
+			}
+			wheelOnly(t, c, nil, c.wheelMask)
+		}
+	})
+	t.Run("dependent-pair", func(t *testing.T) {
+		// Slot 1 waits on slot 0's multiply, issued in cycle 2 and due at
+		// 2+MulLat; slot 8, fetched in cycle 2 after the multiply issued,
+		// waits on it too. Slots 2-7 are consumer-less adds due at 3.
+		prog := repeat(trace.Instr{Kind: trace.Int}, 9)
+		prog[0].Kind = trace.Mul
+		prog[1].Dep = 1
+		prog[8].Dep = 8
+		c := New(DefaultConfig(), &fakeMem{latency: 2}, trace.NewSliceSource(prog))
+		c.Cycle(1)
+		c.Cycle(2)
+		at := 2 + DefaultConfig().MulLat
+		wheelOnly(t, c, map[uint64][]int{at: {1, 8}}, 1<<(at%wheelSize)|1<<3)
+		if runFrom(t, c, 3, 1000); c.Stats().Retired != 9 {
+			t.Fatalf("retired %d, want 9", c.Stats().Retired)
+		}
+	})
+	t.Run("far-producer", func(t *testing.T) {
+		// A 70-cycle load goes on the far heap. A mispredicted branch
+		// holds fetch until cycle 18, when the load's consumer is fetched
+		// 54 cycles before the load completes: it goes in the load's
+		// bucket, and that bucket's mask bit must be set, or the bucket
+		// is never read and the core never finishes.
+		prog := []trace.Instr{
+			{Kind: trace.Load, Addr: 64},
+			{Kind: trace.Branch, Mispredict: true},
+			{Kind: trace.Int, Dep: 2},
+		}
+		c := New(DefaultConfig(), &fakeMem{latency: 70}, trace.NewSliceSource(prog))
+		const fetchAt = 2 + 1 + 15 // branch issue + latency + penalty
+		for now := uint64(1); now <= fetchAt; now++ {
+			c.Cycle(now)
+		}
+		if len(c.far) != 1 || c.far[0].at != 72 {
+			t.Fatalf("far heap %v, want the load due at 72", c.far)
+		}
+		wheelOnly(t, c, map[uint64][]int{72: {2}}, 1<<(72%wheelSize))
+		if got := runFrom(t, c, fetchAt+1, 1000); got != 73 {
+			t.Fatalf("finished at cycle %d, want 73: the consumer issues at 72", got)
+		}
+	})
 }
 
 func TestNewPanicsOnBadArgs(t *testing.T) {

@@ -293,9 +293,10 @@ func TestGoldenCycles(t *testing.T) {
 	}
 }
 
-// TestResetMidRun stops a core with completions in flight on the wheel
-// and on the far heap, resets it for a window of the same or another
-// size, and checks that the rerun matches a new core cycle for cycle.
+// TestResetMidRun stops a core with slots waiting on the wheel and
+// completions in flight on the far heap, resets it for a window of the
+// same or another size, and checks that the rerun matches a new core
+// cycle for cycle.
 func TestResetMidRun(t *testing.T) {
 	prog := randProgram(4, 5_000)
 	for _, rob := range []int{16, 128, 200} {
@@ -305,9 +306,9 @@ func TestResetMidRun(t *testing.T) {
 		for _, stop := range []uint64{100, 500, 1_000, 2_000, 3_000, 5_000} {
 			mem := &randMem{rng: trace.NewRNG(stop), lats: edgeLatencies}
 			c := New(DefaultConfig(), mem, trace.NewSliceSource(randProgram(stop, 20_000)))
-			for now := uint64(1); now < stop || inFlight(c)-len(c.far) < 8 || len(c.far) == 0; now++ {
+			for now := uint64(1); now < stop || wheelSlots(c) < 8 || len(c.far) == 0; now++ {
 				if c.Finished() {
-					t.Fatal("the core finished before holding 8 wheel and 1 far completions at once")
+					t.Fatal("the core finished before holding 8 wheel slots and 1 far completion at once")
 				}
 				c.Cycle(now)
 			}

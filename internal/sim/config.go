@@ -252,7 +252,9 @@ type Config struct {
 	MaxInstructions uint64
 	// SampleInterval, when non-zero, records the Figure 11 time series
 	// every that many retired instructions; on several cores they are
-	// counted over all cores and the series is chip-wide.
+	// counted over all cores and the series is chip-wide. A non-zero
+	// interval below CPU.RetireWidth × cores fails the run with
+	// ErrBadConfig, since one cycle could then cross two boundaries.
 	SampleInterval uint64
 	// SnapshotInterval, when non-zero and Trace is set, emits the
 	// snapshot.* gauge family through the tracer every that many
@@ -262,7 +264,7 @@ type Config struct {
 	// instead of end-of-run aggregates (docs/OBSERVABILITY.md). On
 	// several cores every gauge is chip-wide and carries tid 0. Its
 	// period is independent of SampleInterval; with a nil Trace it is a
-	// no-op.
+	// no-op. With a Trace, it has SampleInterval's floor.
 	SnapshotInterval uint64
 	// EpochInstructions is the rand-dynamic leader reselection period
 	// (the paper uses 25M; scaled runs use less). 0 disables epochs.

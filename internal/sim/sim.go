@@ -225,6 +225,19 @@ func recoverRun[R any](res *R, err *error) {
 // cfg and drives the cycle loop to completion. It returns the machine and
 // the final cycle for the caller to assemble its result from.
 func simulate(ctx context.Context, cfg Config, srcs []trace.Source) (*memSystem, uint64, error) {
+	// The loop closes at most one series point and one snapshot a cycle,
+	// and a cycle retires up to RetireWidth instructions on each core, so
+	// an interval below that falls behind retirement; at or above it, a
+	// cycle crosses at most one boundary.
+	minInterval := uint64(cfg.CPU.RetireWidth) * uint64(len(srcs))
+	if cfg.SampleInterval > 0 && cfg.SampleInterval < minInterval {
+		return nil, 0, simerr.New(simerr.ErrBadConfig,
+			"sim: SampleInterval %d is below RetireWidth × cores = %d", cfg.SampleInterval, minInterval)
+	}
+	if cfg.SnapshotInterval > 0 && cfg.Trace != nil && cfg.SnapshotInterval < minInterval {
+		return nil, 0, simerr.New(simerr.ErrBadConfig,
+			"sim: SnapshotInterval %d is below RetireWidth × cores = %d", cfg.SnapshotInterval, minInterval)
+	}
 	done := ctx.Done()
 	if done != nil {
 		select {

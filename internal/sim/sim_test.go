@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mlpcache/internal/bpred"
@@ -286,6 +288,62 @@ func TestSnapshotAvgCostQIsAPerMissMean(t *testing.T) {
 	}
 	if gauges != 1000 {
 		t.Fatalf("%d avg_cost_q gauges, want 1000", gauges)
+	}
+}
+
+// TestIntervalBelowRetireWidthRejected holds the series and the
+// snapshots to the interval below which one cycle's retirement can cross
+// two boundaries: RetireWidth × cores. Just below it a run fails with an
+// ErrBadConfig naming the bound, on one core and on two; at it, each
+// boundary closes one point, on a later cycle than the one before.
+func TestIntervalBelowRetireWidthRejected(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		bound := uint64(DefaultConfig().CPU.RetireWidth * cores)
+		for _, interval := range []uint64{bound - 1, bound} {
+			for _, kind := range []string{"sample", "snapshot"} {
+				t.Run(fmt.Sprintf("%s/cores%d/interval%d", kind, cores, interval), func(t *testing.T) {
+					cfg := smallConfig(3_000)
+					var at []uint64 // each point's instruction count or cycle
+					if kind == "sample" {
+						cfg.SampleInterval = interval
+					} else {
+						cfg.SnapshotInterval = interval
+						cfg.Trace = metrics.FuncTracer(func(ev metrics.Event) {
+							if ev.Type == metrics.EventSnapshotIPC {
+								at = append(at, ev.Cycle)
+							}
+						})
+					}
+					srcs := make([]trace.Source, cores)
+					for i := range srcs {
+						srcs[i] = microMix(uint64(i) + 1)
+					}
+					res, err := RunMulti(cfg, srcs...)
+					if interval < bound {
+						if !errors.Is(err, simerr.ErrBadConfig) || !strings.Contains(err.Error(), fmt.Sprintf("cores = %d", bound)) {
+							t.Fatalf("err = %v, want ErrBadConfig naming the bound %d", err, bound)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kind == "sample" {
+						for _, p := range res.Series.IPC.Points {
+							at = append(at, p.Instructions)
+						}
+					}
+					if want := res.Instructions() / interval; uint64(len(at)) != want {
+						t.Fatalf("%d points, want %d", len(at), want)
+					}
+					for i := 1; i < len(at); i++ {
+						if at[i] <= at[i-1] {
+							t.Fatalf("point %d at %d, point %d at %d", i-1, at[i-1], i, at[i])
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
